@@ -2,9 +2,10 @@
 
 Exit codes: 0 when the command succeeds (realization found, verification
 passed, analysis completed), 1 on input errors, 2 when no realization exists
-or verification fails.  JSON output is byte-deterministic: keys are sorted,
-edge lists are sorted, and rationals are rendered canonically as ``p/q``
-with positive q (integers without the denominator).
+or verification fails, 3 when an internal invariant fails (a bug).  JSON
+output is byte-deterministic: keys are sorted, edge lists are sorted, and
+rationals are rendered canonically as ``p/q`` with positive q (integers
+without the denominator).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DuplicateVertexError, SchemaError, Wr1Error
+from .errors import DuplicateVertexError, InternalInvariantViolation, SchemaError, Wr1Error
 from .graphs import (
     EGraph,
     deficiency,
@@ -407,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-check support maximality with one extra LP per excluded column",
     )
-    realize.add_argument("--seed", type=int, default=0, help="seed for randomized self-tests")
     realize.add_argument("--quiet", action="store_true", help="suppress the report; exit code only")
 
     verify = sub.add_parser("verify", help="check a rated graph against a system")
@@ -436,6 +436,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except InternalInvariantViolation as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
 
 
 def run() -> None:

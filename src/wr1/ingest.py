@@ -128,11 +128,6 @@ class SourceDecomposition:
     def m(self) -> int:
         return len(self.vertices)
 
-    @property
-    def source_matrix(self) -> RationalMatrix:
-        """The n-by-m matrix whose columns are the source vertices."""
-        return RationalMatrix.from_columns(self.vertices, rows=self.n)
-
     def net_vector(self, i: int) -> RationalVector:
         return self.net_vectors.column(i)
 

@@ -4,12 +4,20 @@ Every scalar is a ``fractions.Fraction``; floats are rejected at the boundary
 so that ranks, kernels, and support sets are decided exactly.  Matrices are
 dense and row-major, which is plenty for the problem sizes this package
 targets (tens of rows and columns).
+
+Elimination itself (here and in the simplex tableau) runs on integer rows: a
+row is a list of ``int`` numerators over one positive ``int`` denominator,
+kept primitive (the denominator and all numerators share no factor), so each
+entry equals the Fraction it replaces and only ``int`` arithmetic runs in the
+inner loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -147,9 +155,6 @@ class RationalMatrix:
     def column(self, j: int) -> RationalVector:
         return RationalVector(tuple(row[j] for row in self.entries))
 
-    def columns(self) -> list[RationalVector]:
-        return [self.column(j) for j in range(self.cols)]
-
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(
             self.cols, self.rows, tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
@@ -167,9 +172,36 @@ class RationalMatrix:
         return RationalMatrix(len(row_indices), len(col_indices), data)
 
 
+def _integer_row(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Primitive integer row over the least common denominator of ``values``."""
+    values = list(values)
+    # reduce, not lcm(*...): star-arguments build a tuple per call
+    den = reduce(lcm, (v.denominator for v in values), 1)
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _normalized(nums: list[int], den: int) -> tuple[list[int], int]:
+    """The row ``nums / den`` with a positive denominator and no common factor."""
+    if den < 0:
+        nums = [-a for a in nums]
+        den = -den
+    if den != 1:
+        g = reduce(gcd, nums, den)
+        if g != 1:
+            nums = [a // g for a in nums]
+            den //= g
+    return nums, den
+
+
+def _eliminate(nums: list[int], den: int, pivot: list[int], pivot_den: int, col: int) -> tuple[list[int], int]:
+    """Row ``nums / den`` minus its ``col`` entry times a pivot row whose ``col`` entry is 1."""
+    factor = nums[col]
+    return _normalized([pivot_den * a - factor * b for a, b in zip(nums, pivot)], den * pivot_den)
+
+
 def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns, exactly."""
-    work = [list(row) for row in matrix.entries]
+    work = [_integer_row(row) for row in matrix.entries]
     pivots: list[int] = []
     pivot_row = 0
     for col in range(matrix.cols):
@@ -177,22 +209,24 @@ def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
             break
         chosen = None
         for r in range(pivot_row, matrix.rows):
-            if work[r][col] != 0:
+            if work[r][0][col] != 0:
                 chosen = r
                 break
         if chosen is None:
             continue
         work[pivot_row], work[chosen] = work[chosen], work[pivot_row]
-        scale = work[pivot_row][col]
-        if scale != 1:
-            work[pivot_row] = [v / scale for v in work[pivot_row]]
+        nums = work[pivot_row][0]
+        pivot, pivot_den = work[pivot_row] = _normalized(nums, nums[col])
         for r in range(matrix.rows):
-            if r != pivot_row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
+            if r != pivot_row and work[r][0][col] != 0:
+                work[r] = _eliminate(*work[r], pivot, pivot_den, col)
         pivots.append(col)
         pivot_row += 1
-    reduced = RationalMatrix(matrix.rows, matrix.cols, tuple(tuple(row) for row in work))
+    reduced = RationalMatrix(
+        matrix.rows,
+        matrix.cols,
+        tuple(tuple(Fraction(a, den) if a else ZERO for a in nums) for nums, den in work),
+    )
     return reduced, tuple(pivots)
 
 

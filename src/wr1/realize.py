@@ -133,9 +133,11 @@ def saturate_support(
         if j in support:
             continue
         candidate = lp_maximize_component(matrix, target, j)
-        # the capped program contains the already-known solution, so it is
-        # never infeasible here
-        assert candidate is not None
+        if candidate is None:
+            # the capped program contains the already-known solution
+            raise InternalInvariantViolation(
+                f"capped program of vertex {i} is infeasible at column {j}"
+            )
         if candidate[j] > 0:
             witnesses.append(candidate)
             support.update(candidate.support())

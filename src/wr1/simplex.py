@@ -10,50 +10,51 @@ which guarantees termination under exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
-from .linalg import ONE, ZERO, RationalMatrix, RationalVector
+from .linalg import ONE, ZERO, RationalMatrix, RationalVector, _eliminate, _integer_row, _normalized
 
 
 class _Tableau:
     """Dense simplex tableau for ``A x = b, x >= 0`` with artificial basis.
 
     Artificial columns are appended after the structural ones; they start as
-    the basis and are never allowed to re-enter once they leave.
+    the basis and are never allowed to re-enter once they leave.  Each row,
+    the reduced-cost row included, is a primitive integer row over a positive
+    denominator (see ``linalg``) whose last entry is the right-hand side; the
+    cost row's last entry is the negated objective value.
     """
 
     def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], nstruct: int):
         self.nstruct = nstruct
         self.nrows = len(rows)
-        self.rows: list[list[Fraction]] = []
-        self.rhs: list[Fraction] = []
-        for row, b in zip(rows, rhs):
-            if b < 0:
-                row = [-a for a in row]
-                b = -b
-            self.rows.append(list(row))
-            self.rhs.append(b)
-        for i, row in enumerate(self.rows):
-            row.extend(ONE if k == i else ZERO for k in range(self.nrows))
         self.width = self.nstruct + self.nrows
+        self.rows: list[list[int]] = []
+        self.dens: list[int] = []
+        for i, (row, b) in enumerate(zip(rows, rhs)):
+            nums, den = _integer_row([*row, b])
+            if b < 0:
+                nums = [-a for a in nums]
+            rhs_num = nums.pop()
+            nums.extend(den if k == i else 0 for k in range(self.nrows))
+            nums.append(rhs_num)
+            self.rows.append(nums)
+            self.dens.append(den)
         self.basis = list(range(self.nstruct, self.width))
-        # reduced-cost row and current objective value, maintained by pivots
-        self.costs: list[Fraction] = [ZERO] * self.width
-        self.value = ZERO
+        self.costs: list[int] = [0] * (self.width + 1)
+        self.cost_den = 1
 
     def _pivot(self, row: int, col: int):
-        pivot = self.rows[row][col]
-        if pivot != 1:
-            self.rows[row] = [a / pivot for a in self.rows[row]]
-            self.rhs[row] /= pivot
+        nums = self.rows[row]
+        pivot, pivot_den = _normalized(nums, nums[col])
+        self.rows[row] = pivot
+        self.dens[row] = pivot_den
         for r in range(self.nrows):
             if r != row and self.rows[r][col] != 0:
-                factor = self.rows[r][col]
-                self.rows[r] = [a - factor * b for a, b in zip(self.rows[r], self.rows[row])]
-                self.rhs[r] -= factor * self.rhs[row]
-        factor = self.costs[col]
-        if factor != 0:
-            self.costs = [a - factor * b for a, b in zip(self.costs, self.rows[row])]
-            self.value += factor * self.rhs[row]
+                self.rows[r], self.dens[r] = _eliminate(self.rows[r], self.dens[r], pivot, pivot_den, col)
+        if self.costs[col] != 0:
+            self.costs, self.cost_den = _eliminate(self.costs, self.cost_den, pivot, pivot_den, col)
         self.basis[row] = col
 
     def _bland_loop(self, enterable: int) -> None:
@@ -66,14 +67,22 @@ class _Tableau:
                     break
             if entering is None:
                 return
+            # ratio rhs_i / coeff_i: a row's denominator cancels, so compare
+            # numerators cross-multiplied (both coefficients are positive)
             leaving = None
-            best = None
+            best_num = best_coeff = 0
             for i in range(self.nrows):
-                coeff = self.rows[i][entering]
+                row = self.rows[i]
+                coeff = row[entering]
                 if coeff > 0:
-                    ratio = self.rhs[i] / coeff
-                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leaving]):
-                        best = ratio
+                    num = row[-1]
+                    if leaving is None:
+                        better = True
+                    else:
+                        lhs, rhs = num * best_coeff, best_num * coeff
+                        better = lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leaving])
+                    if better:
+                        best_num, best_coeff = num, coeff
                         leaving = i
             if leaving is None:
                 # cannot happen for the bounded programs built below
@@ -82,13 +91,17 @@ class _Tableau:
 
     def run_phase1(self) -> bool:
         """Minimize the artificial mass; True iff the constraints are feasible."""
-        # maximize -(sum of artificials); reduced costs fold in the basis
-        self.costs = [sum((self.rows[i][j] for i in range(self.nrows)), ZERO) for j in range(self.width)]
-        for art in range(self.nstruct, self.width):
-            self.costs[art] = ZERO
-        self.value = -sum(self.rhs, ZERO)
+        # maximize -(sum of artificials): the cost row is the sum of all rows
+        # with the artificial entries cleared, its last entry the total rhs
+        den = reduce(lcm, self.dens, 1)
+        costs = [0] * (self.width + 1)
+        for nums, row_den in zip(self.rows, self.dens):
+            scale = den // row_den
+            costs = [c + scale * a for c, a in zip(costs, nums)]
+        costs[self.nstruct : self.width] = [0] * self.nrows
+        self.costs, self.cost_den = _normalized(costs, den)
         self._bland_loop(self.nstruct)
-        return self.value == 0
+        return self.costs[-1] == 0
 
     def drive_out_artificials(self) -> None:
         """Degenerate-pivot artificial basics onto structural columns.
@@ -105,24 +118,21 @@ class _Tableau:
                     self._pivot(i, j)
                     break
 
-    def run_phase2(self, objective: list[Fraction]) -> None:
-        """Maximize a structural objective from the current feasible basis."""
-        costs = list(objective) + [ZERO] * self.nrows
-        value = ZERO
+    def run_phase2(self, objective: list[int]) -> None:
+        """Maximize an integer structural objective from the current feasible basis."""
+        costs = list(objective) + [0] * (self.nrows + 1)
+        den = 1
         for i, basic in enumerate(self.basis):
-            weight = costs[basic]
-            if weight != 0:
-                costs = [a - weight * b for a, b in zip(costs, self.rows[i])]
-                value += weight * self.rhs[i]
-        self.costs = costs
-        self.value = value
+            if costs[basic] != 0:
+                costs, den = _eliminate(costs, den, self.rows[i], self.dens[i], basic)
+        self.costs, self.cost_den = costs, den
         self._bland_loop(self.nstruct)
 
     def solution(self) -> list[Fraction]:
         point = [ZERO] * self.nstruct
         for i, basic in enumerate(self.basis):
             if basic < self.nstruct:
-                point[basic] = self.rhs[i]
+                point[basic] = Fraction(self.rows[i][-1], self.dens[i])
         return point
 
 
@@ -164,7 +174,7 @@ def lp_maximize_component(matrix: RationalMatrix, rhs: RationalVector, j: int) -
     if not tableau.run_phase1():
         return None
     tableau.drive_out_artificials()
-    objective = [ZERO] * (matrix.cols + 1)
-    objective[j] = ONE
+    objective = [0] * (matrix.cols + 1)
+    objective[j] = 1
     tableau.run_phase2(objective)
     return RationalVector(tuple(tableau.solution()[: matrix.cols]))

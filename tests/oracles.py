@@ -88,6 +88,197 @@ def oracle_positive_component(matrix: RationalMatrix, rhs: RationalVector, j: in
 
 
 # ---------------------------------------------------------------------------
+# reference elimination on Fraction rows: the simplex tableau and rref that
+# the integer-row engine must match pivot for pivot, returning the very same
+# vertices and reduced matrices, not only the same optima.
+
+
+class FractionTableau:
+    """Dense simplex tableau for ``A x = b, x >= 0`` with artificial basis.
+
+    Artificial columns are appended after the structural ones; they start as
+    the basis and are never allowed to re-enter once they leave.
+    """
+
+    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], nstruct: int):
+        self.nstruct = nstruct
+        self.nrows = len(rows)
+        self.rows: list[list[Fraction]] = []
+        self.rhs: list[Fraction] = []
+        for row, b in zip(rows, rhs):
+            if b < 0:
+                row = [-a for a in row]
+                b = -b
+            self.rows.append(list(row))
+            self.rhs.append(b)
+        for i, row in enumerate(self.rows):
+            row.extend(ONE if k == i else ZERO for k in range(self.nrows))
+        self.width = self.nstruct + self.nrows
+        self.basis = list(range(self.nstruct, self.width))
+        # reduced-cost row and current objective value, maintained by pivots
+        self.costs: list[Fraction] = [ZERO] * self.width
+        self.value = ZERO
+
+    def _pivot(self, row: int, col: int):
+        pivot = self.rows[row][col]
+        if pivot != 1:
+            self.rows[row] = [a / pivot for a in self.rows[row]]
+            self.rhs[row] /= pivot
+        for r in range(self.nrows):
+            if r != row and self.rows[r][col] != 0:
+                factor = self.rows[r][col]
+                self.rows[r] = [a - factor * b for a, b in zip(self.rows[r], self.rows[row])]
+                self.rhs[r] -= factor * self.rhs[row]
+        factor = self.costs[col]
+        if factor != 0:
+            self.costs = [a - factor * b for a, b in zip(self.costs, self.rows[row])]
+            self.value += factor * self.rhs[row]
+        self.basis[row] = col
+
+    def _bland_loop(self, enterable: int) -> None:
+        """Pivot until no column below ``enterable`` has positive reduced cost."""
+        while True:
+            entering = None
+            for j in range(enterable):
+                if self.costs[j] > 0:
+                    entering = j
+                    break
+            if entering is None:
+                return
+            leaving = None
+            best = None
+            for i in range(self.nrows):
+                coeff = self.rows[i][entering]
+                if coeff > 0:
+                    ratio = self.rhs[i] / coeff
+                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leaving]):
+                        best = ratio
+                        leaving = i
+            if leaving is None:
+                # cannot happen for the bounded programs built below
+                raise RuntimeError("unbounded objective in simplex")
+            self._pivot(leaving, entering)
+
+    def run_phase1(self) -> bool:
+        """Minimize the artificial mass; True iff the constraints are feasible."""
+        # maximize -(sum of artificials); reduced costs fold in the basis
+        self.costs = [sum((self.rows[i][j] for i in range(self.nrows)), ZERO) for j in range(self.width)]
+        for art in range(self.nstruct, self.width):
+            self.costs[art] = ZERO
+        self.value = -sum(self.rhs, ZERO)
+        self._bland_loop(self.nstruct)
+        return self.value == 0
+
+    def drive_out_artificials(self) -> None:
+        """Degenerate-pivot artificial basics onto structural columns.
+
+        Rows that are zero over every structural column are redundant
+        constraints; their artificial stays basic at value zero and can never
+        be touched by later pivots, so they are left in place.
+        """
+        for i in range(self.nrows):
+            if self.basis[i] < self.nstruct:
+                continue
+            for j in range(self.nstruct):
+                if self.rows[i][j] != 0:
+                    self._pivot(i, j)
+                    break
+
+    def run_phase2(self, objective: list[Fraction]) -> None:
+        """Maximize a structural objective from the current feasible basis."""
+        costs = list(objective) + [ZERO] * self.nrows
+        value = ZERO
+        for i, basic in enumerate(self.basis):
+            weight = costs[basic]
+            if weight != 0:
+                costs = [a - weight * b for a, b in zip(costs, self.rows[i])]
+                value += weight * self.rhs[i]
+        self.costs = costs
+        self.value = value
+        self._bland_loop(self.nstruct)
+
+    def solution(self) -> list[Fraction]:
+        point = [ZERO] * self.nstruct
+        for i, basic in enumerate(self.basis):
+            if basic < self.nstruct:
+                point[basic] = self.rhs[i]
+        return point
+
+
+def reference_lp_feasible(matrix: RationalMatrix, rhs: RationalVector) -> RationalVector | None:
+    """Some exact ``x >= 0`` with ``matrix @ x = rhs``, or None if infeasible.
+
+    Infeasibility is an ordinary outcome, not an error.  The returned point
+    is a basic feasible solution (a vertex of the constraint polyhedron).
+    """
+    if matrix.rows != rhs.dim:
+        raise ValueError("dimension mismatch")
+    tableau = FractionTableau([list(row) for row in matrix.entries], list(rhs.entries), matrix.cols)
+    if not tableau.run_phase1():
+        return None
+    return RationalVector(tuple(tableau.solution()))
+
+
+def reference_lp_maximize_component(matrix: RationalMatrix, rhs: RationalVector, j: int) -> RationalVector | None:
+    """Maximize ``x_j`` over ``matrix @ x = rhs, x >= 0, x_j <= 1``.
+
+    Returns an optimal vertex, or None when the bounded program is
+    infeasible.  The cap on ``x_j`` keeps the objective bounded.  Whenever a
+    solution is returned, its ``x_j`` is positive exactly when some feasible
+    point of the uncapped system has ``x_j > 0``: a zero optimum means every
+    capped point has ``x_j = 0``, and a convex combination of such a point
+    with any ``x_j > 0`` point would land under the cap with ``x_j > 0``.
+    """
+    if matrix.rows != rhs.dim:
+        raise ValueError("dimension mismatch")
+    if not 0 <= j < matrix.cols:
+        raise IndexError(f"column {j} out of range")
+    rows = [list(row) + [ZERO] for row in matrix.entries]
+    bound_row = [ZERO] * (matrix.cols + 1)
+    bound_row[j] = ONE
+    bound_row[matrix.cols] = ONE
+    rows.append(bound_row)
+    rhs_ext = list(rhs.entries) + [ONE]
+    tableau = FractionTableau(rows, rhs_ext, matrix.cols + 1)
+    if not tableau.run_phase1():
+        return None
+    tableau.drive_out_artificials()
+    objective = [ZERO] * (matrix.cols + 1)
+    objective[j] = ONE
+    tableau.run_phase2(objective)
+    return RationalVector(tuple(tableau.solution()[: matrix.cols]))
+
+
+def reference_rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot columns, exactly."""
+    work = [list(row) for row in matrix.entries]
+    pivots: list[int] = []
+    pivot_row = 0
+    for col in range(matrix.cols):
+        if pivot_row >= matrix.rows:
+            break
+        chosen = None
+        for r in range(pivot_row, matrix.rows):
+            if work[r][col] != 0:
+                chosen = r
+                break
+        if chosen is None:
+            continue
+        work[pivot_row], work[chosen] = work[chosen], work[pivot_row]
+        scale = work[pivot_row][col]
+        if scale != 1:
+            work[pivot_row] = [v / scale for v in work[pivot_row]]
+        for r in range(matrix.rows):
+            if r != pivot_row and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
+        pivots.append(col)
+        pivot_row += 1
+    reduced = RationalMatrix(matrix.rows, matrix.cols, tuple(tuple(row) for row in work))
+    return reduced, tuple(pivots)
+
+
+# ---------------------------------------------------------------------------
 # realizability by exhaustive search
 
 

@@ -1,15 +1,18 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from wr1.cli import graph_from_json, graph_to_json, main, monomial_label, render_dot
-from wr1.errors import SchemaError
+from wr1.errors import InternalInvariantViolation, SchemaError
 from wr1.graphs import EGraph
 
 from .conftest import CYCLE3_TEXT, CYCLE4_TEXT, UNREALIZABLE_TEXT, two_terminal_graph
 
 F = Fraction
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -138,6 +141,26 @@ def test_realize_quiet_suppresses_output(capsys, cycle3_file):
 def test_realize_check_oracle(capsys, cycle3_file):
     code, _, _ = run_cli(capsys, "realize", cycle3_file, "--check-oracle")
     assert code == 0
+
+
+def test_realize_multi_witness_golden_bytes(capsys):
+    # recorded with the Fraction-row simplex; rates are averages of up to
+    # three witnesses per vertex, so any change of pivot shows in the bytes
+    code, out, _ = run_cli(capsys, "realize", str(GOLDEN / "multi_witness.txt"))
+    assert code == 0
+    assert out == (GOLDEN / "multi_witness.json").read_text()
+
+
+def test_internal_error_exit_3_without_traceback(capsys, monkeypatch, cycle3_file):
+    def broken(decomposition):
+        raise InternalInvariantViolation("rates at vertex 0 do not reproduce its net vector")
+
+    monkeypatch.setattr("wr1.cli.realize_wr1", broken)
+    code, out, err = run_cli(capsys, "realize", cycle3_file)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: rates at vertex 0 do not reproduce its net vector\n"
+    assert "Traceback" not in err
 
 
 def test_realize_from_stdin(capsys, monkeypatch):

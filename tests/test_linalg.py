@@ -14,6 +14,8 @@ from wr1.linalg import (
     to_fraction,
 )
 
+from .oracles import reference_rref
+
 F = Fraction
 
 
@@ -152,3 +154,30 @@ def test_rref_is_idempotent_and_rank_transpose_invariant(matrix):
     again, pivots2 = rref(reduced)
     assert again == reduced and pivots2 == pivots
     assert rank(matrix) == rank(matrix.transpose())
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Mixed denominators with zero rows and rows that combine earlier ones."""
+    matrix = draw(small_matrices())
+    entries = [list(row) for row in matrix.entries]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("zero", "combination")))
+        if kind == "zero":
+            row = [F(0)] * matrix.cols
+        else:
+            a, b = draw(st.integers(0, len(entries) - 1)), draw(st.integers(0, len(entries) - 1))
+            s, t = draw(small_fractions), draw(small_fractions)
+            row = [s * x + t * y for x, y in zip(entries[a], entries[b])]
+        entries.insert(draw(st.integers(0, len(entries))), row)
+    return RationalMatrix.from_rows(entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_matrices())
+def test_integer_rref_matches_fraction_reference(matrix):
+    reduced, pivots = rref(matrix)
+    expected, expected_pivots = reference_rref(matrix)
+    assert pivots == expected_pivots
+    assert reduced == expected
+    assert all(type(e) is Fraction for row in reduced.entries for e in row)

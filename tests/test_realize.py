@@ -94,6 +94,13 @@ def test_saturate_support_infeasible(unrealizable_dec):
     assert saturate_support(unrealizable_dec, 0) is None
 
 
+def test_saturate_support_infeasible_cap_is_a_bug(cycle3_dec, monkeypatch):
+    # a plain assert here would vanish under python -O
+    monkeypatch.setattr("wr1.realize.lp_maximize_component", lambda matrix, rhs, j: None)
+    with pytest.raises(InternalInvariantViolation, match="vertex 0 .* column 2"):
+        saturate_support(cycle3_dec, 0)
+
+
 def test_saturate_support_order_independent(cycle4_dec, complete3_dec):
     for dec in (cycle4_dec, complete3_dec):
         for i in range(dec.m):

@@ -1,13 +1,21 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wr1.linalg import RationalMatrix, RationalVector
+from wr1.realize import displacement_matrix
 from wr1.simplex import lp_feasible, lp_maximize_component
 
-from .oracles import oracle_feasible, oracle_max_component
+from .oracles import (
+    oracle_feasible,
+    oracle_max_component,
+    random_decomposition,
+    reference_lp_feasible,
+    reference_lp_maximize_component,
+)
 
 F = Fraction
 
@@ -139,3 +147,71 @@ def test_maximize_matches_enumeration_oracle(instance, j):
         check_feasible_point(matrix, rhs, point)
         assert point[j] <= 1
         assert point[j] == best
+
+
+# ---------------------------------------------------------------------------
+# same pivots as the Fraction-row tableau: identical vertices, every j
+
+mixed_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
+# mostly zeros, for degenerate bases and zero right-hand sides
+sparse_fractions = st.one_of(st.just(F(0)), st.just(F(0)), mixed_fractions)
+sparse_nonneg = st.one_of(st.just(F(0)), st.just(F(0)), small_nonneg)
+
+
+@st.composite
+def degenerate_lp_instances(draw):
+    """Mixed denominators, possibly negative rhs, zero rows and redundant rows."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 6))
+    entries = draw(
+        st.lists(st.lists(sparse_fractions, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    )
+    if draw(st.booleans()):
+        entries[draw(st.integers(0, rows - 1))] = [F(0)] * cols
+    if draw(st.booleans()):
+        # a rational combination of two rows, appended as a redundant constraint
+        a, b = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        s, t = draw(mixed_fractions), draw(mixed_fractions)
+        entries.append([s * x + t * y for x, y in zip(entries[a], entries[b])])
+    matrix = RationalMatrix.from_rows(entries)
+    if draw(st.booleans()):
+        point = draw(st.lists(sparse_nonneg, min_size=cols, max_size=cols))
+        rhs = matrix.matvec(RationalVector.of(point))
+    else:
+        rhs = RationalVector.of(draw(st.lists(sparse_fractions, min_size=matrix.rows, max_size=matrix.rows)))
+    return matrix, rhs
+
+
+def assert_same_as_reference(matrix, rhs):
+    assert lp_feasible(matrix, rhs) == reference_lp_feasible(matrix, rhs)
+    for j in range(matrix.cols):
+        assert lp_maximize_component(matrix, rhs, j) == reference_lp_maximize_component(matrix, rhs, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(degenerate_lp_instances())
+def test_integer_tableau_returns_reference_vertices(instance):
+    assert_same_as_reference(*instance)
+
+
+def test_integer_tableau_matches_reference_on_seeded_sparse_sweep():
+    # capped maxima with several optimal vertices, where only Bland's
+    # tie-break decides which one is returned; hypothesis rarely builds these
+    rng = Random(1)
+    for _ in range(500):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 6)
+        entries = [
+            [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else F(0) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        matrix = RationalMatrix.from_rows(entries)
+        point = [F(rng.randint(0, 2)) if rng.random() < 0.4 else F(0) for _ in range(cols)]
+        assert_same_as_reference(matrix, matrix.matvec(RationalVector(tuple(point))))
+
+
+def test_integer_tableau_matches_reference_on_displacement_matrices():
+    rng = Random(2024)
+    for _ in range(30):
+        dec = random_decomposition(rng, max_n=3, max_m=6)
+        for i in range(dec.m):
+            assert_same_as_reference(displacement_matrix(dec, i), dec.net_vector(i))
