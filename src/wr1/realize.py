@@ -9,14 +9,18 @@ does:
 1. per vertex i, find a nonnegative solution v of ``D_i v = w_i`` where
    column k of ``D_i`` is ``y_k - y_i`` (infeasibility here already rules
    out every realization);
-2. grow the support set of vertex i by maximizing each excluded coordinate
-   in turn, collecting the witnesses; the union of their supports is the
-   largest support any solution can have;
+2. grow the support set of vertex i from the feasible basis of step 1: for
+   each coordinate j not yet covered, run phase 2 on ``x_j`` from the basis
+   the previous coordinate left, and keep the first feasible point found
+   with ``x_j > 0`` as a witness (a zero optimum proves that no solution
+   reaches j); the union of the witness supports is the largest support
+   any solution can have;
 3. form the unit Kirchhoff matrix of the support pattern and accept exactly
    when its kernel is one-dimensional with full support, which makes the
    support graph strongly connected as a single component;
-4. average the witnesses per vertex to obtain strictly positive rate
-   constants that reproduce each net vector exactly.
+4. average the witnesses per vertex (the step-1 point and each early-exit
+   witness of step 2) to obtain rate constants that are strictly positive on
+   the support and reproduce each net vector exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from .errors import InternalInvariantViolation
 from .graphs import EGraph
 from .ingest import SourceDecomposition
 from .linalg import ONE, ZERO, RationalMatrix, RationalVector, kernel_basis
-from .simplex import lp_feasible, lp_maximize_component
+# lp_feasible is unused here but stays bound: perfbench/tracing.py looks it up in this module
+from .simplex import feasible_tableau, lp_feasible, lp_maximize_component
 
 
 @dataclass(frozen=True)
@@ -120,27 +125,21 @@ def saturate_support(
     support set is order-independent (it is the unique maximal support), only
     the stored witnesses differ.
     """
-    matrix = displacement_matrix(decomposition, i)
-    target = decomposition.net_vector(i)
-    base = lp_feasible(matrix, target)
-    if base is None:
+    tableau = feasible_tableau(displacement_matrix(decomposition, i), decomposition.net_vector(i))
+    if tableau is None:
         return None
-    base = base.with_entry(i, ONE)
+    base = RationalVector(tuple(tableau.solution())).with_entry(i, ONE)
     support = set(base.support())
     witnesses = [base]
     scan = range(decomposition.m) if order is None else order
     for j in scan:
         if j in support:
             continue
-        candidate = lp_maximize_component(matrix, target, j)
-        if candidate is None:
-            # the capped program contains the already-known solution
-            raise InternalInvariantViolation(
-                f"capped program of vertex {i} is infeasible at column {j}"
-            )
-        if candidate[j] > 0:
-            witnesses.append(candidate)
-            support.update(candidate.support())
+        # one tableau for the whole vertex: each column starts where the last stopped
+        witness = tableau.positive_point(j)
+        if witness is not None:
+            witnesses.append(witness)
+            support.update(witness.support())
     return SupportProfile(vertex=i, support=tuple(sorted(support)), witnesses=tuple(witnesses))
 
 

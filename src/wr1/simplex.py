@@ -1,10 +1,15 @@
 """Exact two-phase primal simplex over the rationals, with Bland's rule.
 
 Only the forms this package needs are supported: equality constraints with
-``x >= 0``, plus a single upper bound ``x_j <= 1`` when maximizing one
-coordinate.  Anti-cycling uses Bland's rule throughout (smallest eligible
-entering index, ties in the ratio test broken by smallest basic index),
-which guarantees termination under exact arithmetic.
+``x >= 0``.  ``lp_maximize_component`` adds a single upper bound
+``x_j <= 1`` to keep its objective bounded; nothing else uses that cap.
+Support saturation instead solves phase 1 once (``feasible_tableau``) and
+asks ``Tableau.positive_point`` column after column whether some feasible
+point has ``x_j > 0``, each time running phase 2 from the basis the previous
+column left and stopping at the first positive objective or unbounded ray.
+Anti-cycling uses Bland's rule throughout (smallest eligible entering index,
+ties in the ratio test broken by smallest basic index), which guarantees
+termination under exact arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from math import lcm
 from .linalg import ONE, ZERO, RationalMatrix, RationalVector, _eliminate, _integer_row, _normalized
 
 
-class _Tableau:
+class Tableau:
     """Dense simplex tableau for ``A x = b, x >= 0`` with artificial basis.
 
     Artificial columns are appended after the structural ones; they start as
@@ -57,33 +62,38 @@ class _Tableau:
             self.costs, self.cost_den = _eliminate(self.costs, self.cost_den, pivot, pivot_den, col)
         self.basis[row] = col
 
+    def _entering(self, enterable: int) -> int | None:
+        """Bland's entering column: the smallest below ``enterable`` with positive reduced cost."""
+        for j in range(enterable):
+            if self.costs[j] > 0:
+                return j
+        return None
+
+    def _leaving(self, entering: int) -> int | None:
+        """Row of the ratio test for ``entering``, or None when no row limits it."""
+        # ratio rhs_i / coeff_i: a row's denominator cancels, so compare
+        # numerators cross-multiplied (both coefficients are positive)
+        leaving = None
+        best_num = best_coeff = 0
+        for i in range(self.nrows):
+            row = self.rows[i]
+            coeff = row[entering]
+            if coeff > 0:
+                num = row[-1]
+                if leaving is None:
+                    better = True
+                else:
+                    lhs, rhs = num * best_coeff, best_num * coeff
+                    better = lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leaving])
+                if better:
+                    best_num, best_coeff = num, coeff
+                    leaving = i
+        return leaving
+
     def _bland_loop(self, enterable: int) -> None:
         """Pivot until no column below ``enterable`` has positive reduced cost."""
-        while True:
-            entering = None
-            for j in range(enterable):
-                if self.costs[j] > 0:
-                    entering = j
-                    break
-            if entering is None:
-                return
-            # ratio rhs_i / coeff_i: a row's denominator cancels, so compare
-            # numerators cross-multiplied (both coefficients are positive)
-            leaving = None
-            best_num = best_coeff = 0
-            for i in range(self.nrows):
-                row = self.rows[i]
-                coeff = row[entering]
-                if coeff > 0:
-                    num = row[-1]
-                    if leaving is None:
-                        better = True
-                    else:
-                        lhs, rhs = num * best_coeff, best_num * coeff
-                        better = lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leaving])
-                    if better:
-                        best_num, best_coeff = num, coeff
-                        leaving = i
+        while (entering := self._entering(enterable)) is not None:
+            leaving = self._leaving(entering)
             if leaving is None:
                 # cannot happen for the bounded programs built below
                 raise RuntimeError("unbounded objective in simplex")
@@ -118,15 +128,59 @@ class _Tableau:
                     self._pivot(i, j)
                     break
 
-    def run_phase2(self, objective: list[int]) -> None:
-        """Maximize an integer structural objective from the current feasible basis."""
+    def _set_objective(self, objective: list[int]) -> None:
+        """Reduced-cost row of an integer structural objective at the current basis."""
         costs = list(objective) + [0] * (self.nrows + 1)
         den = 1
         for i, basic in enumerate(self.basis):
             if costs[basic] != 0:
                 costs, den = _eliminate(costs, den, self.rows[i], self.dens[i], basic)
         self.costs, self.cost_den = costs, den
+
+    def run_phase2(self, objective: list[int]) -> None:
+        """Maximize an integer structural objective from the current feasible basis."""
+        self._set_objective(objective)
         self._bland_loop(self.nstruct)
+
+    def positive_point(self, j: int) -> RationalVector | None:
+        """A feasible point with ``x_j > 0``, or None when ``x_j = 0`` on the whole feasible set.
+
+        Runs Bland phase 2 on the objective ``x_j`` from the current feasible
+        basis and stops at the first basis whose objective is positive, which
+        is the returned point.  If the ratio test finds no leaving row, the
+        entering column's ray raises ``x_j`` without bound, and the point one
+        unit along that ray is returned.  Reaching the optimum at zero proves
+        that ``x_j = 0`` on the whole feasible set.  The tableau is left at
+        the basis reached, so the next call starts from a feasible basis.
+        """
+        if not 0 <= j < self.nstruct:
+            raise IndexError(f"column {j} out of range")
+        objective = [0] * self.nstruct
+        objective[j] = 1
+        self._set_objective(objective)
+        # the cost row's last entry is minus the objective value
+        while self.costs[-1] == 0:
+            entering = self._entering(self.nstruct)
+            if entering is None:
+                return None
+            leaving = self._leaving(entering)
+            if leaving is None:
+                return self._ray_point(entering)
+            self._pivot(leaving, entering)
+        return RationalVector(tuple(self.solution()))
+
+    def _ray_point(self, entering: int) -> RationalVector:
+        """The basic solution moved one unit along the ray of a nonbasic column.
+
+        No coefficient of ``entering`` is positive, so raising it by one only
+        raises the basic variables: the point stays feasible.
+        """
+        point = self.solution()
+        point[entering] += ONE
+        for i, basic in enumerate(self.basis):
+            if basic < self.nstruct:
+                point[basic] -= Fraction(self.rows[i][entering], self.dens[i])
+        return RationalVector(tuple(point))
 
     def solution(self) -> list[Fraction]:
         point = [ZERO] * self.nstruct
@@ -136,16 +190,29 @@ class _Tableau:
         return point
 
 
+def feasible_tableau(matrix: RationalMatrix, rhs: RationalVector) -> Tableau | None:
+    """A tableau of ``matrix @ x = rhs, x >= 0`` at a feasible basis, or None if infeasible.
+
+    Phase 1 runs once, and artificials are then driven out of the basis, so
+    ``Tableau.positive_point`` can be called on it for one column after another.
+    """
+    if matrix.rows != rhs.dim:
+        raise ValueError("dimension mismatch")
+    tableau = Tableau([list(row) for row in matrix.entries], list(rhs.entries), matrix.cols)
+    if not tableau.run_phase1():
+        return None
+    tableau.drive_out_artificials()
+    return tableau
+
+
 def lp_feasible(matrix: RationalMatrix, rhs: RationalVector) -> RationalVector | None:
     """Some exact ``x >= 0`` with ``matrix @ x = rhs``, or None if infeasible.
 
     Infeasibility is an ordinary outcome, not an error.  The returned point
     is a basic feasible solution (a vertex of the constraint polyhedron).
     """
-    if matrix.rows != rhs.dim:
-        raise ValueError("dimension mismatch")
-    tableau = _Tableau([list(row) for row in matrix.entries], list(rhs.entries), matrix.cols)
-    if not tableau.run_phase1():
+    tableau = feasible_tableau(matrix, rhs)
+    if tableau is None:
         return None
     return RationalVector(tuple(tableau.solution()))
 
@@ -170,7 +237,7 @@ def lp_maximize_component(matrix: RationalMatrix, rhs: RationalVector, j: int) -
     bound_row[matrix.cols] = ONE
     rows.append(bound_row)
     rhs_ext = list(rhs.entries) + [ONE]
-    tableau = _Tableau(rows, rhs_ext, matrix.cols + 1)
+    tableau = Tableau(rows, rhs_ext, matrix.cols + 1)
     if not tableau.run_phase1():
         return None
     tableau.drive_out_artificials()

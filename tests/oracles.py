@@ -249,6 +249,38 @@ def reference_lp_maximize_component(matrix: RationalMatrix, rhs: RationalVector,
     return RationalVector(tuple(tableau.solution()[: matrix.cols]))
 
 
+def reference_saturate_support(dec: SourceDecomposition, i: int, order=None):
+    """Support saturation as the engine did it before warm starts: one capped LP per column.
+
+    ``(support, witnesses)`` of vertex i, or None when it is infeasible.  The
+    loop is the engine's old one, run on the Fraction-row reference LPs
+    above (which return the engine's own LP vertices).
+    """
+    base_vertex = dec.vertices[i]
+    matrix = RationalMatrix.from_columns(
+        [[Fraction(vk - vi) for vk, vi in zip(vertex, base_vertex)] for vertex in dec.vertices], rows=dec.n
+    )
+    target = dec.net_vector(i)
+    base = reference_lp_feasible(matrix, target)
+    if base is None:
+        return None
+    base = base.with_entry(i, ONE)
+    support = set(base.support())
+    witnesses = [base]
+    scan = range(dec.m) if order is None else order
+    for j in scan:
+        if j in support:
+            continue
+        candidate = reference_lp_maximize_component(matrix, target, j)
+        if candidate is None:
+            # the capped program contains the already-known solution
+            raise AssertionError(f"capped program of vertex {i} is infeasible at column {j}")
+        if candidate[j] > 0:
+            witnesses.append(candidate)
+            support.update(candidate.support())
+    return tuple(sorted(support)), tuple(witnesses)
+
+
 def reference_rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns, exactly."""
     work = [list(row) for row in matrix.entries]

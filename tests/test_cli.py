@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from .conftest import CYCLE3_TEXT, CYCLE4_TEXT, UNREALIZABLE_TEXT, two_terminal_
 F = Fraction
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 
 @pytest.fixture
@@ -144,11 +148,26 @@ def test_realize_check_oracle(capsys, cycle3_file):
 
 
 def test_realize_multi_witness_golden_bytes(capsys):
-    # recorded with the Fraction-row simplex; rates are averages of up to
-    # three witnesses per vertex, so any change of pivot shows in the bytes
+    # rates are averages of up to three witnesses per vertex, so any change
+    # of pivot shows in the bytes; recorded with the warm-started, early-exit
+    # saturation (same edges as the earlier one-capped-LP-per-column record,
+    # six rates differ because the witnesses differ)
     code, out, _ = run_cli(capsys, "realize", str(GOLDEN / "multi_witness.txt"))
     assert code == 0
     assert out == (GOLDEN / "multi_witness.json").read_text()
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "wr1", "realize", str(GOLDEN / "multi_witness.txt")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["outcome"] == "realized"
 
 
 def test_internal_error_exit_3_without_traceback(capsys, monkeypatch, cycle3_file):

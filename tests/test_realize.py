@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wr1.errors import InternalInvariantViolation
 from wr1.graphs import is_weakly_reversible, linkage_classes, net_reaction_vectors
@@ -25,7 +27,9 @@ from wr1.realize import (
 from .oracles import (
     decomposition_of_dynamics,
     random_decomposition,
+    random_rated_digraph,
     random_wr1_graph,
+    reference_saturate_support,
     wr1_realizable_bruteforce,
 )
 
@@ -94,19 +98,54 @@ def test_saturate_support_infeasible(unrealizable_dec):
     assert saturate_support(unrealizable_dec, 0) is None
 
 
-def test_saturate_support_infeasible_cap_is_a_bug(cycle3_dec, monkeypatch):
-    # a plain assert here would vanish under python -O
-    monkeypatch.setattr("wr1.realize.lp_maximize_component", lambda matrix, rhs, j: None)
-    with pytest.raises(InternalInvariantViolation, match="vertex 0 .* column 2"):
-        saturate_support(cycle3_dec, 0)
-
-
 def test_saturate_support_order_independent(cycle4_dec, complete3_dec):
     for dec in (cycle4_dec, complete3_dec):
         for i in range(dec.m):
             forward = saturate_support(dec, i)
             backward = saturate_support(dec, i, order=range(dec.m - 1, -1, -1))
             assert forward.support == backward.support
+
+
+GENERATORS = {
+    "decomposition": lambda rng: random_decomposition(rng, max_n=3, max_m=5),
+    "wr1-graph": lambda rng: decomposition_of_dynamics(random_wr1_graph(rng, max_n=3, max_m=6)),
+    "rated-digraph": lambda rng: decomposition_of_dynamics(random_rated_digraph(rng, max_m=6)),
+}
+
+
+def assert_supports_match_reference(dec, order=None):
+    """Same supports and infeasible vertices as one capped LP per column; count of the latter."""
+    infeasible = 0
+    for i in range(dec.m):
+        profile = saturate_support(dec, i, order=order)
+        reference = reference_saturate_support(dec, i, order=order)
+        if reference is None:
+            assert profile is None
+            infeasible += 1
+            continue
+        support, witnesses = reference
+        assert profile.support == support
+        assert profile.witnesses[0] == witnesses[0]  # the phase-1 point is unchanged
+        check_profile(dec, profile)
+    return infeasible
+
+
+def test_supports_match_capped_reference_on_seeded_sweep():
+    rng = Random(41)
+    infeasible = 0
+    for make in GENERATORS.values():
+        for _ in range(25):
+            dec = make(rng)
+            infeasible += assert_supports_match_reference(dec)
+            assert_supports_match_reference(dec, order=range(dec.m - 1, -1, -1))
+    assert infeasible > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32), st.booleans())
+def test_supports_match_capped_reference(generator, seed, reverse):
+    dec = GENERATORS[generator](Random(seed))
+    assert_supports_match_reference(dec, order=range(dec.m - 1, -1, -1) if reverse else None)
 
 
 # ---------------------------------------------------------------------------

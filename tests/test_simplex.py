@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from wr1.linalg import RationalMatrix, RationalVector
 from wr1.realize import displacement_matrix
-from wr1.simplex import lp_feasible, lp_maximize_component
+from wr1.simplex import feasible_tableau, lp_feasible, lp_maximize_component
 
 from .oracles import (
     oracle_feasible,
     oracle_max_component,
+    oracle_positive_component,
     random_decomposition,
     reference_lp_feasible,
     reference_lp_maximize_component,
@@ -215,3 +216,93 @@ def test_integer_tableau_matches_reference_on_displacement_matrices():
         dec = random_decomposition(rng, max_n=3, max_m=6)
         for i in range(dec.m):
             assert_same_as_reference(displacement_matrix(dec, i), dec.net_vector(i))
+
+
+# ---------------------------------------------------------------------------
+# warm-started positive search: the three exits of Tableau.positive_point
+
+
+def check_positive_point(matrix, rhs, j, point):
+    check_feasible_point(matrix, rhs, point)
+    assert point[j] > 0
+
+
+def test_positive_point_returns_current_basis_when_already_positive():
+    matrix = RationalMatrix.from_rows([[1, 1]])
+    rhs = RationalVector.of([1])
+    tableau = feasible_tableau(matrix, rhs)
+    assert tableau.positive_point(0) == RationalVector.of([1, 0])
+
+
+def test_positive_point_stops_at_first_positive_basis():
+    # x0 + x2 - x3 = 1, x1 + x3 = 1: phase 1 ends at (1, 1, 0, 0); x2 enters
+    # at 1 and the search stops there, short of the optimum x2 = 2
+    matrix = RationalMatrix.from_rows([[1, 0, 1, -1], [0, 1, 0, 1]])
+    rhs = RationalVector.of([1, 1])
+    tableau = feasible_tableau(matrix, rhs)
+    assert tableau.solution() == [1, 1, 0, 0]
+    point = tableau.positive_point(2)
+    assert point == RationalVector.of([0, 1, 1, 0])
+    check_positive_point(matrix, rhs, 2, point)
+    assert lp_maximize_component(matrix, rhs, 2)[2] == 1  # the cap, not the stop
+
+
+def test_positive_point_follows_an_unbounded_ray():
+    # x0 = x1: x0 is basic at zero and only x1's ray, which no row limits, raises it
+    matrix = RationalMatrix.from_rows([[1, -1]])
+    rhs = RationalVector.zero(1)
+    tableau = feasible_tableau(matrix, rhs)
+    assert tableau.solution() == [0, 0]
+    point = tableau.positive_point(0)
+    assert point == RationalVector.of([1, 1])
+    check_positive_point(matrix, rhs, 0, point)
+
+
+def test_positive_point_zero_optimum_is_none():
+    matrix = RationalMatrix.from_rows([[0, 1, 1], [0, 0, 1]])
+    rhs = RationalVector.of([1, 0])
+    tableau = feasible_tableau(matrix, rhs)
+    assert tableau.positive_point(2) is None
+    # the tableau stays at a feasible basis for the next column
+    check_positive_point(matrix, rhs, 1, tableau.positive_point(1))
+
+
+def test_feasible_tableau_infeasible_and_index_checks():
+    assert feasible_tableau(RationalMatrix.from_rows([[0, 1], [0, 0]]), RationalVector.of([-1, 0])) is None
+    with pytest.raises(ValueError):
+        feasible_tableau(RationalMatrix.zeros(2, 2), RationalVector.zero(3))
+    tableau = feasible_tableau(RationalMatrix.zeros(1, 2), RationalVector.zero(1))
+    with pytest.raises(IndexError):
+        tableau.positive_point(2)
+
+
+def assert_positive_points_match_oracle(matrix, rhs, order):
+    """Fresh and chained searches both answer exactly as the enumeration oracle."""
+    chained = feasible_tableau(matrix, rhs)
+    if oracle_feasible(matrix, rhs) is None:
+        assert chained is None
+        return
+    for j in order:
+        expected = oracle_positive_component(matrix, rhs, j)
+        for point in (feasible_tableau(matrix, rhs).positive_point(j), chained.positive_point(j)):
+            if expected:
+                assert point is not None
+                check_positive_point(matrix, rhs, j, point)
+            else:
+                assert point is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_lp_instances(), st.booleans())
+def test_positive_point_matches_positive_component_oracle(instance, reverse):
+    matrix, rhs = instance
+    order = range(matrix.cols - 1, -1, -1) if reverse else range(matrix.cols)
+    assert_positive_points_match_oracle(matrix, rhs, order)
+
+
+def test_positive_point_matches_oracle_on_displacement_matrices():
+    rng = Random(2025)
+    for _ in range(30):
+        dec = random_decomposition(rng, max_n=3, max_m=6)
+        for i in range(dec.m):
+            assert_positive_points_match_oracle(displacement_matrix(dec, i), dec.net_vector(i), range(dec.m))
