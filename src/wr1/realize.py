@@ -34,8 +34,8 @@ from .errors import InternalInvariantViolation
 from .graphs import EGraph
 from .ingest import SourceDecomposition
 from .linalg import ONE, ZERO, RationalMatrix, RationalVector, kernel_basis
-# lp_feasible is unused here but stays bound: perfbench/tracing.py looks it up in this module
-from .simplex import feasible_tableau, lp_feasible, lp_maximize_component
+# saturation's LP work goes through these two names, which perfbench/tracing.py wraps in this module
+from .simplex import lp_feasible, lp_maximize_component
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,8 @@ def saturate_support(
     support set is order-independent (it is the unique maximal support), only
     the stored witnesses differ.
     """
-    tableau = feasible_tableau(displacement_matrix(decomposition, i), decomposition.net_vector(i))
+    matrix, target = displacement_matrix(decomposition, i), decomposition.net_vector(i)
+    tableau = lp_feasible(matrix, target, tableau=True)
     if tableau is None:
         return None
     base = RationalVector(tuple(tableau.solution())).with_entry(i, ONE)
@@ -136,7 +137,7 @@ def saturate_support(
         if j in support:
             continue
         # one tableau for the whole vertex: each column starts where the last stopped
-        witness = tableau.positive_point(j)
+        witness = lp_maximize_component(matrix, target, j, start=tableau)
         if witness is not None:
             witnesses.append(witness)
             support.update(witness.support())

@@ -3,10 +3,12 @@
 Only the forms this package needs are supported: equality constraints with
 ``x >= 0``.  ``lp_maximize_component`` adds a single upper bound
 ``x_j <= 1`` to keep its objective bounded; nothing else uses that cap.
-Support saturation instead solves phase 1 once (``feasible_tableau``) and
-asks ``Tableau.positive_point`` column after column whether some feasible
-point has ``x_j > 0``, each time running phase 2 from the basis the previous
-column left and stopping at the first positive objective or unbounded ray.
+Support saturation instead solves phase 1 once (``lp_feasible`` with
+``tableau=True``) and passes that tableau to ``lp_maximize_component`` as
+``start`` column after column: each call asks whether some feasible point has
+``x_j > 0`` (``Tableau.positive_point``), running phase 2 from the basis the
+previous column left and stopping at the first positive objective or
+unbounded ray, without a cap row.
 Anti-cycling uses Bland's rule throughout (smallest eligible entering index,
 ties in the ratio test broken by smallest basic index), which guarantees
 termination under exact arithmetic.
@@ -190,34 +192,31 @@ class Tableau:
         return point
 
 
-def feasible_tableau(matrix: RationalMatrix, rhs: RationalVector) -> Tableau | None:
-    """A tableau of ``matrix @ x = rhs, x >= 0`` at a feasible basis, or None if infeasible.
-
-    Phase 1 runs once, and artificials are then driven out of the basis, so
-    ``Tableau.positive_point`` can be called on it for one column after another.
-    """
-    if matrix.rows != rhs.dim:
-        raise ValueError("dimension mismatch")
-    tableau = Tableau([list(row) for row in matrix.entries], list(rhs.entries), matrix.cols)
-    if not tableau.run_phase1():
-        return None
-    tableau.drive_out_artificials()
-    return tableau
-
-
-def lp_feasible(matrix: RationalMatrix, rhs: RationalVector) -> RationalVector | None:
+def lp_feasible(
+    matrix: RationalMatrix, rhs: RationalVector, *, tableau: bool = False
+) -> RationalVector | Tableau | None:
     """Some exact ``x >= 0`` with ``matrix @ x = rhs``, or None if infeasible.
 
     Infeasibility is an ordinary outcome, not an error.  The returned point
     is a basic feasible solution (a vertex of the constraint polyhedron).
+    With ``tableau=True`` the ``Tableau`` at that basis is returned instead
+    of its point, artificials driven out, to be passed as ``start`` to
+    ``lp_maximize_component`` for one column after another.
     """
-    tableau = feasible_tableau(matrix, rhs)
-    if tableau is None:
+    if matrix.rows != rhs.dim:
+        raise ValueError("dimension mismatch")
+    table = Tableau([list(row) for row in matrix.entries], list(rhs.entries), matrix.cols)
+    if not table.run_phase1():
         return None
-    return RationalVector(tuple(tableau.solution()))
+    if not tableau:
+        return RationalVector(tuple(table.solution()))
+    table.drive_out_artificials()
+    return table
 
 
-def lp_maximize_component(matrix: RationalMatrix, rhs: RationalVector, j: int) -> RationalVector | None:
+def lp_maximize_component(
+    matrix: RationalMatrix, rhs: RationalVector, j: int, *, start: Tableau | None = None
+) -> RationalVector | None:
     """Maximize ``x_j`` over ``matrix @ x = rhs, x >= 0, x_j <= 1``.
 
     Returns an optimal vertex, or None when the bounded program is
@@ -226,11 +225,22 @@ def lp_maximize_component(matrix: RationalMatrix, rhs: RationalVector, j: int) -
     point of the uncapped system has ``x_j > 0``: a zero optimum means every
     capped point has ``x_j = 0``, and a convex combination of such a point
     with any ``x_j > 0`` point would land under the cap with ``x_j > 0``.
+
+    ``start``, a tableau of the same system from ``lp_feasible(matrix, rhs,
+    tableau=True)``, answers only that sign question and is cheaper: no cap
+    row and no phase 1, and the search stops at the first feasible point with
+    ``x_j > 0``, which need not be a maximizer (``Tableau.positive_point``).
+    None then means ``x_j = 0`` on the whole feasible set, and ``start`` is
+    left at the basis reached, ready for the next column.
     """
     if matrix.rows != rhs.dim:
         raise ValueError("dimension mismatch")
     if not 0 <= j < matrix.cols:
         raise IndexError(f"column {j} out of range")
+    if start is not None:
+        if (start.nrows, start.nstruct) != (matrix.rows, matrix.cols):
+            raise ValueError("start tableau does not match the system")
+        return start.positive_point(j)
     rows = [list(row) + [ZERO] for row in matrix.entries]
     bound_row = [ZERO] * (matrix.cols + 1)
     bound_row[j] = ONE

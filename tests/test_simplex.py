@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wr1.linalg import RationalMatrix, RationalVector
 from wr1.realize import displacement_matrix
-from wr1.simplex import feasible_tableau, lp_feasible, lp_maximize_component
+from wr1.simplex import lp_feasible, lp_maximize_component
 
 from .oracles import (
     oracle_feasible,
@@ -219,7 +219,8 @@ def test_integer_tableau_matches_reference_on_displacement_matrices():
 
 
 # ---------------------------------------------------------------------------
-# warm-started positive search: the three exits of Tableau.positive_point
+# warm-started positive search: the three exits of Tableau.positive_point,
+# behind lp_maximize_component(..., start=lp_feasible(..., tableau=True))
 
 
 def check_positive_point(matrix, rhs, j, point):
@@ -230,7 +231,7 @@ def check_positive_point(matrix, rhs, j, point):
 def test_positive_point_returns_current_basis_when_already_positive():
     matrix = RationalMatrix.from_rows([[1, 1]])
     rhs = RationalVector.of([1])
-    tableau = feasible_tableau(matrix, rhs)
+    tableau = lp_feasible(matrix, rhs, tableau=True)
     assert tableau.positive_point(0) == RationalVector.of([1, 0])
 
 
@@ -239,11 +240,12 @@ def test_positive_point_stops_at_first_positive_basis():
     # at 1 and the search stops there, short of the optimum x2 = 2
     matrix = RationalMatrix.from_rows([[1, 0, 1, -1], [0, 1, 0, 1]])
     rhs = RationalVector.of([1, 1])
-    tableau = feasible_tableau(matrix, rhs)
+    tableau = lp_feasible(matrix, rhs, tableau=True)
     assert tableau.solution() == [1, 1, 0, 0]
     point = tableau.positive_point(2)
     assert point == RationalVector.of([0, 1, 1, 0])
     check_positive_point(matrix, rhs, 2, point)
+    assert lp_maximize_component(matrix, rhs, 2, start=lp_feasible(matrix, rhs, tableau=True)) == point
     assert lp_maximize_component(matrix, rhs, 2)[2] == 1  # the cap, not the stop
 
 
@@ -251,7 +253,7 @@ def test_positive_point_follows_an_unbounded_ray():
     # x0 = x1: x0 is basic at zero and only x1's ray, which no row limits, raises it
     matrix = RationalMatrix.from_rows([[1, -1]])
     rhs = RationalVector.zero(1)
-    tableau = feasible_tableau(matrix, rhs)
+    tableau = lp_feasible(matrix, rhs, tableau=True)
     assert tableau.solution() == [0, 0]
     point = tableau.positive_point(0)
     assert point == RationalVector.of([1, 1])
@@ -261,30 +263,36 @@ def test_positive_point_follows_an_unbounded_ray():
 def test_positive_point_zero_optimum_is_none():
     matrix = RationalMatrix.from_rows([[0, 1, 1], [0, 0, 1]])
     rhs = RationalVector.of([1, 0])
-    tableau = feasible_tableau(matrix, rhs)
+    tableau = lp_feasible(matrix, rhs, tableau=True)
     assert tableau.positive_point(2) is None
     # the tableau stays at a feasible basis for the next column
     check_positive_point(matrix, rhs, 1, tableau.positive_point(1))
 
 
-def test_feasible_tableau_infeasible_and_index_checks():
-    assert feasible_tableau(RationalMatrix.from_rows([[0, 1], [0, 0]]), RationalVector.of([-1, 0])) is None
+def test_warm_start_infeasible_and_index_checks():
+    assert lp_feasible(RationalMatrix.from_rows([[0, 1], [0, 0]]), RationalVector.of([-1, 0]), tableau=True) is None
     with pytest.raises(ValueError):
-        feasible_tableau(RationalMatrix.zeros(2, 2), RationalVector.zero(3))
-    tableau = feasible_tableau(RationalMatrix.zeros(1, 2), RationalVector.zero(1))
+        lp_feasible(RationalMatrix.zeros(2, 2), RationalVector.zero(3), tableau=True)
+    matrix, rhs = RationalMatrix.zeros(1, 2), RationalVector.zero(1)
+    tableau = lp_feasible(matrix, rhs, tableau=True)
     with pytest.raises(IndexError):
         tableau.positive_point(2)
+    with pytest.raises(IndexError):
+        lp_maximize_component(matrix, rhs, 2, start=tableau)
+    with pytest.raises(ValueError, match="start tableau"):
+        lp_maximize_component(RationalMatrix.zeros(1, 3), rhs, 0, start=tableau)
 
 
 def assert_positive_points_match_oracle(matrix, rhs, order):
     """Fresh and chained searches both answer exactly as the enumeration oracle."""
-    chained = feasible_tableau(matrix, rhs)
+    chained = lp_feasible(matrix, rhs, tableau=True)
     if oracle_feasible(matrix, rhs) is None:
         assert chained is None
         return
     for j in order:
         expected = oracle_positive_component(matrix, rhs, j)
-        for point in (feasible_tableau(matrix, rhs).positive_point(j), chained.positive_point(j)):
+        fresh = lp_feasible(matrix, rhs, tableau=True).positive_point(j)
+        for point in (fresh, lp_maximize_component(matrix, rhs, j, start=chained)):
             if expected:
                 assert point is not None
                 check_positive_point(matrix, rhs, j, point)
