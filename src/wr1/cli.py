@@ -329,7 +329,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    graph, _species = load_graph(args.graph)
+    graph, species = load_graph(args.graph)
     if graph.rates is None:
         raise SchemaError("verification needs a rated graph")
     decomposition = decompose(parse_system(_read_text(args.system)))
@@ -337,7 +337,8 @@ def cmd_verify(args) -> int:
     weakly_reversible = structure_report(graph).weakly_reversible
     single_class = len(linkage_classes(graph)) == 1
 
-    dynamics_match = graph.n == decomposition.n
+    # graph coordinates name the system's species only when the names agree in order
+    dynamics_match = graph.n == decomposition.n and species in (None, decomposition.species)
     if dynamics_match:
         produced = net_reaction_vectors(graph)
         generated = {}

@@ -9,12 +9,13 @@ does:
 1. per vertex i, find a nonnegative solution v of ``D_i v = w_i`` where
    column k of ``D_i`` is ``y_k - y_i`` (infeasibility here already rules
    out every realization);
-2. grow the support set of vertex i from the feasible basis of step 1: for
-   each coordinate j not yet covered, run phase 2 on ``x_j`` from the basis
-   the previous coordinate left, and keep the first feasible point found
-   with ``x_j > 0`` as a witness (a zero optimum proves that no solution
-   reaches j); the union of the witness supports is the largest support
-   any solution can have;
+2. grow the support set of vertex i from the feasible tableau of step 1:
+   for each coordinate j not yet covered, ask that one tableau for a
+   feasible point with ``x_j > 0`` (phase 2 on ``x_j`` from the basis the
+   previous coordinate left, stopping at the first such point) and keep it
+   as a witness; a zero optimum proves that no solution reaches j.  The
+   union of the witness supports is the largest support any solution can
+   have, found with one phase 1 and one chained tableau per vertex;
 3. form the unit Kirchhoff matrix of the support pattern and accept exactly
    when its kernel is one-dimensional with full support, which makes the
    support graph strongly connected as a single component;
@@ -34,7 +35,7 @@ from .errors import InternalInvariantViolation
 from .graphs import EGraph
 from .ingest import SourceDecomposition
 from .linalg import ONE, ZERO, RationalMatrix, RationalVector, kernel_basis
-# saturation's LP work goes through these two names, which perfbench/tracing.py wraps in this module
+# every LP question goes through these two names, which perfbench/tracing.py wraps in this module
 from .simplex import lp_feasible, lp_maximize_component
 
 
@@ -85,7 +86,6 @@ class Realization:
 
     graph: EGraph
     profiles: tuple[SupportProfile, ...]
-    averaged: tuple[RationalVector, ...]
 
 
 @dataclass(frozen=True)
@@ -109,31 +109,27 @@ def displacement_matrix(decomposition: SourceDecomposition, i: int) -> RationalM
     if not 0 <= i < decomposition.m:
         raise IndexError(f"vertex {i} out of range")
     base = decomposition.vertices[i]
-    columns = [
-        [Fraction(vk - vi) for vk, vi in zip(vertex, base)]
-        for vertex in decomposition.vertices
-    ]
-    return RationalMatrix.from_columns(columns, rows=decomposition.n)
+    rows = tuple(
+        tuple(Fraction(vertex[axis] - base[axis]) for vertex in decomposition.vertices)
+        for axis in range(decomposition.n)
+    )
+    return RationalMatrix(decomposition.n, decomposition.m, rows)
 
 
-def saturate_support(
-    decomposition: SourceDecomposition, i: int, order: Sequence[int] | None = None
-) -> SupportProfile | None:
+def saturate_support(decomposition: SourceDecomposition, i: int) -> SupportProfile | None:
     """Maximal support of vertex i, or None when its net vector is infeasible.
 
-    ``order`` overrides the scan order of the growth loop; the resulting
-    support set is order-independent (it is the unique maximal support), only
-    the stored witnesses differ.
+    Columns are scanned in index order; the support set does not depend on
+    that order (it is the unique maximal support), only the witnesses do.
     """
     matrix, target = displacement_matrix(decomposition, i), decomposition.net_vector(i)
-    tableau = lp_feasible(matrix, target, tableau=True)
+    tableau = lp_feasible(matrix, target)
     if tableau is None:
         return None
-    base = RationalVector(tuple(tableau.solution())).with_entry(i, ONE)
+    base = tableau.solution().with_entry(i, ONE)
     support = set(base.support())
     witnesses = [base]
-    scan = range(decomposition.m) if order is None else order
-    for j in scan:
+    for j in range(decomposition.m):
         if j in support:
             continue
         # one tableau for the whole vertex: each column starts where the last stopped
@@ -195,7 +191,7 @@ def average_witnesses(profile: SupportProfile) -> RationalVector:
 
 def extract_rates(
     decomposition: SourceDecomposition, profiles: Sequence[SupportProfile]
-) -> tuple[dict[tuple[int, int], Fraction], tuple[RationalVector, ...]]:
+) -> dict[tuple[int, int], Fraction]:
     """Edge rates from the averaged witnesses, checked to reproduce every net vector.
 
     The average of the witnesses solves the same linear system and is
@@ -204,11 +200,9 @@ def extract_rates(
     input condition.
     """
     rates: dict[tuple[int, int], Fraction] = {}
-    averaged = []
     for profile in sorted(profiles, key=lambda p: p.vertex):
         i = profile.vertex
         mean = average_witnesses(profile)
-        averaged.append(mean)
         base = decomposition.vertices[i]
         residual = list(decomposition.net_vector(i).entries)
         for j in profile.support:
@@ -227,7 +221,7 @@ def extract_rates(
             raise InternalInvariantViolation(
                 f"rates at vertex {i} do not reproduce its net vector"
             )
-    return rates, tuple(averaged)
+    return rates
 
 
 def realize_wr1(decomposition: SourceDecomposition) -> RealizationReport:
@@ -254,14 +248,14 @@ def realize_wr1(decomposition: SourceDecomposition) -> RealizationReport:
     obstruction = decide_wr1(kirchhoff)
     if obstruction is not None:
         return RealizationReport(failure=obstruction)
-    rates, averaged = extract_rates(decomposition, profiles)
+    rates = extract_rates(decomposition, profiles)
     graph = EGraph(
         vertices=decomposition.vertices,
         edges=tuple(sorted(rates)),
         rates=rates,
     )
     return RealizationReport(
-        realization=Realization(graph=graph, profiles=tuple(profiles), averaged=averaged)
+        realization=Realization(graph=graph, profiles=tuple(profiles))
     )
 
 
@@ -270,16 +264,15 @@ def assert_maximal_supports(
 ) -> None:
     """Check that no excluded coordinate admits mass; raises on violation.
 
-    For every vertex i and every j outside its support, the maximum of x_j
-    over the vertex's feasible set must be exactly zero.
+    For every vertex i and every j outside its support, a fresh search on
+    the vertex's feasible set must prove ``x_j = 0`` there.
     """
     for profile in profiles:
         matrix = displacement_matrix(decomposition, profile.vertex)
         target = decomposition.net_vector(profile.vertex)
         excluded = set(range(decomposition.m)) - set(profile.support)
         for j in sorted(excluded):
-            best = lp_maximize_component(matrix, target, j)
-            if best is None or best[j] != 0:
+            if lp_maximize_component(matrix, target, j) is not None:
                 raise InternalInvariantViolation(
                     f"support of vertex {profile.vertex} misses attainable column {j}"
                 )

@@ -1,14 +1,13 @@
 """Exact two-phase primal simplex over the rationals, with Bland's rule.
 
 Only the forms this package needs are supported: equality constraints with
-``x >= 0``.  ``lp_maximize_component`` adds a single upper bound
-``x_j <= 1`` to keep its objective bounded; nothing else uses that cap.
-Support saturation instead solves phase 1 once (``lp_feasible`` with
-``tableau=True``) and passes that tableau to ``lp_maximize_component`` as
-``start`` column after column: each call asks whether some feasible point has
-``x_j > 0`` (``Tableau.positive_point``), running phase 2 from the basis the
-previous column left and stopping at the first positive objective or
-unbounded ray, without a cap row.
+``x >= 0``.  Phase 1 (``lp_feasible``) finds a feasible basis and drives the
+artificials out of it.  The only phase-2 question is whether some feasible
+point has ``x_j > 0`` (``Tableau.positive_point``): Bland phase 2 on the
+objective ``x_j`` from the current basis, stopping at the first positive
+objective or unbounded ray, or proving ``x_j = 0`` at a zero optimum.  Support
+saturation chains one tableau through all columns of a vertex, each search
+starting from the basis the previous one left.
 Anti-cycling uses Bland's rule throughout (smallest eligible entering index,
 ties in the ratio test broken by smallest basic index), which guarantees
 termination under exact arithmetic.
@@ -20,6 +19,7 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 
+from .errors import InternalInvariantViolation
 from .linalg import ONE, ZERO, RationalMatrix, RationalVector, _eliminate, _integer_row, _normalized
 
 
@@ -64,9 +64,9 @@ class Tableau:
             self.costs, self.cost_den = _eliminate(self.costs, self.cost_den, pivot, pivot_den, col)
         self.basis[row] = col
 
-    def _entering(self, enterable: int) -> int | None:
-        """Bland's entering column: the smallest below ``enterable`` with positive reduced cost."""
-        for j in range(enterable):
+    def _entering(self) -> int | None:
+        """Bland's entering column: the smallest structural one with positive reduced cost."""
+        for j in range(self.nstruct):
             if self.costs[j] > 0:
                 return j
         return None
@@ -92,15 +92,6 @@ class Tableau:
                     leaving = i
         return leaving
 
-    def _bland_loop(self, enterable: int) -> None:
-        """Pivot until no column below ``enterable`` has positive reduced cost."""
-        while (entering := self._entering(enterable)) is not None:
-            leaving = self._leaving(entering)
-            if leaving is None:
-                # cannot happen for the bounded programs built below
-                raise RuntimeError("unbounded objective in simplex")
-            self._pivot(leaving, entering)
-
     def run_phase1(self) -> bool:
         """Minimize the artificial mass; True iff the constraints are feasible."""
         # maximize -(sum of artificials): the cost row is the sum of all rows
@@ -112,7 +103,12 @@ class Tableau:
             costs = [c + scale * a for c, a in zip(costs, nums)]
         costs[self.nstruct : self.width] = [0] * self.nrows
         self.costs, self.cost_den = _normalized(costs, den)
-        self._bland_loop(self.nstruct)
+        while (entering := self._entering()) is not None:
+            leaving = self._leaving(entering)
+            if leaving is None:
+                # the objective is bounded: the artificial mass cannot fall below zero
+                raise InternalInvariantViolation("unbounded objective in simplex phase 1")
+            self._pivot(leaving, entering)
         return self.costs[-1] == 0
 
     def drive_out_artificials(self) -> None:
@@ -130,20 +126,6 @@ class Tableau:
                     self._pivot(i, j)
                     break
 
-    def _set_objective(self, objective: list[int]) -> None:
-        """Reduced-cost row of an integer structural objective at the current basis."""
-        costs = list(objective) + [0] * (self.nrows + 1)
-        den = 1
-        for i, basic in enumerate(self.basis):
-            if costs[basic] != 0:
-                costs, den = _eliminate(costs, den, self.rows[i], self.dens[i], basic)
-        self.costs, self.cost_den = costs, den
-
-    def run_phase2(self, objective: list[int]) -> None:
-        """Maximize an integer structural objective from the current feasible basis."""
-        self._set_objective(objective)
-        self._bland_loop(self.nstruct)
-
     def positive_point(self, j: int) -> RationalVector | None:
         """A feasible point with ``x_j > 0``, or None when ``x_j = 0`` on the whole feasible set.
 
@@ -157,19 +139,23 @@ class Tableau:
         """
         if not 0 <= j < self.nstruct:
             raise IndexError(f"column {j} out of range")
-        objective = [0] * self.nstruct
-        objective[j] = 1
-        self._set_objective(objective)
+        # reduced costs of the objective x_j at the current basis
+        costs, den = [0] * (self.width + 1), 1
+        costs[j] = 1
+        for i, basic in enumerate(self.basis):
+            if costs[basic] != 0:
+                costs, den = _eliminate(costs, den, self.rows[i], self.dens[i], basic)
+        self.costs, self.cost_den = costs, den
         # the cost row's last entry is minus the objective value
         while self.costs[-1] == 0:
-            entering = self._entering(self.nstruct)
+            entering = self._entering()
             if entering is None:
                 return None
             leaving = self._leaving(entering)
             if leaving is None:
                 return self._ray_point(entering)
             self._pivot(leaving, entering)
-        return RationalVector(tuple(self.solution()))
+        return self.solution()
 
     def _ray_point(self, entering: int) -> RationalVector:
         """The basic solution moved one unit along the ray of a nonbasic column.
@@ -177,81 +163,64 @@ class Tableau:
         No coefficient of ``entering`` is positive, so raising it by one only
         raises the basic variables: the point stays feasible.
         """
-        point = self.solution()
+        point = list(self.solution())
         point[entering] += ONE
         for i, basic in enumerate(self.basis):
             if basic < self.nstruct:
                 point[basic] -= Fraction(self.rows[i][entering], self.dens[i])
         return RationalVector(tuple(point))
 
-    def solution(self) -> list[Fraction]:
+    def solution(self) -> RationalVector:
+        """The basic solution at the current basis."""
         point = [ZERO] * self.nstruct
         for i, basic in enumerate(self.basis):
             if basic < self.nstruct:
                 point[basic] = Fraction(self.rows[i][-1], self.dens[i])
-        return point
+        return RationalVector(tuple(point))
 
 
-def lp_feasible(
-    matrix: RationalMatrix, rhs: RationalVector, *, tableau: bool = False
-) -> RationalVector | Tableau | None:
-    """Some exact ``x >= 0`` with ``matrix @ x = rhs``, or None if infeasible.
+def lp_feasible(matrix: RationalMatrix, rhs: RationalVector) -> Tableau | None:
+    """A feasible tableau of ``matrix @ x = rhs, x >= 0``, or None if infeasible.
 
-    Infeasibility is an ordinary outcome, not an error.  The returned point
-    is a basic feasible solution (a vertex of the constraint polyhedron).
-    With ``tableau=True`` the ``Tableau`` at that basis is returned instead
-    of its point, artificials driven out, to be passed as ``start`` to
+    Infeasibility is an ordinary outcome, not an error.  The tableau is at
+    the basis phase 1 ended in, with the artificials driven out by degenerate
+    pivots, so ``.solution()`` is a basic feasible solution (a vertex of the
+    constraint polyhedron) and the tableau can be passed as ``start`` to
     ``lp_maximize_component`` for one column after another.
     """
     if matrix.rows != rhs.dim:
         raise ValueError("dimension mismatch")
-    table = Tableau([list(row) for row in matrix.entries], list(rhs.entries), matrix.cols)
-    if not table.run_phase1():
+    tableau = Tableau([list(row) for row in matrix.entries], list(rhs.entries), matrix.cols)
+    if not tableau.run_phase1():
         return None
-    if not tableau:
-        return RationalVector(tuple(table.solution()))
-    table.drive_out_artificials()
-    return table
+    tableau.drive_out_artificials()
+    return tableau
 
 
 def lp_maximize_component(
     matrix: RationalMatrix, rhs: RationalVector, j: int, *, start: Tableau | None = None
 ) -> RationalVector | None:
-    """Maximize ``x_j`` over ``matrix @ x = rhs, x >= 0, x_j <= 1``.
+    """A feasible point of ``matrix @ x = rhs, x >= 0`` with ``x_j > 0``, or None.
 
-    Returns an optimal vertex, or None when the bounded program is
-    infeasible.  The cap on ``x_j`` keeps the objective bounded.  Whenever a
-    solution is returned, its ``x_j`` is positive exactly when some feasible
-    point of the uncapped system has ``x_j > 0``: a zero optimum means every
-    capped point has ``x_j = 0``, and a convex combination of such a point
-    with any ``x_j > 0`` point would land under the cap with ``x_j > 0``.
+    None means ``x_j = 0`` on the whole feasible set, or that the set is
+    empty.  Despite its name this maximizes nothing: the point is the first
+    one ``Tableau.positive_point`` reaches with ``x_j > 0``.  The name, with
+    ``j`` as the third positional argument, is pinned by the benchmark:
+    ``perfbench/tracing.py`` wraps this function where ``wr1.realize`` looks
+    it up and reads ``j`` from that position.
 
-    ``start``, a tableau of the same system from ``lp_feasible(matrix, rhs,
-    tableau=True)``, answers only that sign question and is cheaper: no cap
-    row and no phase 1, and the search stops at the first feasible point with
-    ``x_j > 0``, which need not be a maximizer (``Tableau.positive_point``).
-    None then means ``x_j = 0`` on the whole feasible set, and ``start`` is
-    left at the basis reached, ready for the next column.
+    ``start``, a tableau of the same system from ``lp_feasible``, is searched
+    from its current basis and left at the basis reached, ready for the next
+    column; without it the search runs on a fresh ``lp_feasible`` tableau.
     """
     if matrix.rows != rhs.dim:
         raise ValueError("dimension mismatch")
     if not 0 <= j < matrix.cols:
         raise IndexError(f"column {j} out of range")
-    if start is not None:
-        if (start.nrows, start.nstruct) != (matrix.rows, matrix.cols):
-            raise ValueError("start tableau does not match the system")
-        return start.positive_point(j)
-    rows = [list(row) + [ZERO] for row in matrix.entries]
-    bound_row = [ZERO] * (matrix.cols + 1)
-    bound_row[j] = ONE
-    bound_row[matrix.cols] = ONE
-    rows.append(bound_row)
-    rhs_ext = list(rhs.entries) + [ONE]
-    tableau = Tableau(rows, rhs_ext, matrix.cols + 1)
-    if not tableau.run_phase1():
-        return None
-    tableau.drive_out_artificials()
-    objective = [0] * (matrix.cols + 1)
-    objective[j] = 1
-    tableau.run_phase2(objective)
-    return RationalVector(tuple(tableau.solution()[: matrix.cols]))
+    if start is None:
+        start = lp_feasible(matrix, rhs)
+        if start is None:
+            return None
+    elif (start.nrows, start.nstruct) != (matrix.rows, matrix.cols):
+        raise ValueError("start tableau does not match the system")
+    return start.positive_point(j)

@@ -135,25 +135,28 @@ class FractionTableau:
             self.value += factor * self.rhs[row]
         self.basis[row] = col
 
+    def _entering(self, enterable: int) -> int | None:
+        for j in range(enterable):
+            if self.costs[j] > 0:
+                return j
+        return None
+
+    def _leaving(self, entering: int) -> int | None:
+        leaving = None
+        best = None
+        for i in range(self.nrows):
+            coeff = self.rows[i][entering]
+            if coeff > 0:
+                ratio = self.rhs[i] / coeff
+                if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leaving]):
+                    best = ratio
+                    leaving = i
+        return leaving
+
     def _bland_loop(self, enterable: int) -> None:
         """Pivot until no column below ``enterable`` has positive reduced cost."""
-        while True:
-            entering = None
-            for j in range(enterable):
-                if self.costs[j] > 0:
-                    entering = j
-                    break
-            if entering is None:
-                return
-            leaving = None
-            best = None
-            for i in range(self.nrows):
-                coeff = self.rows[i][entering]
-                if coeff > 0:
-                    ratio = self.rhs[i] / coeff
-                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leaving]):
-                        best = ratio
-                        leaving = i
+        while (entering := self._entering(enterable)) is not None:
+            leaving = self._leaving(entering)
             if leaving is None:
                 # cannot happen for the bounded programs built below
                 raise RuntimeError("unbounded objective in simplex")
@@ -184,8 +187,8 @@ class FractionTableau:
                     self._pivot(i, j)
                     break
 
-    def run_phase2(self, objective: list[Fraction]) -> None:
-        """Maximize a structural objective from the current feasible basis."""
+    def _set_objective(self, objective: list[Fraction]) -> None:
+        """Reduced costs and value of a structural objective at the current basis."""
         costs = list(objective) + [ZERO] * self.nrows
         value = ZERO
         for i, basic in enumerate(self.basis):
@@ -195,7 +198,36 @@ class FractionTableau:
                 value += weight * self.rhs[i]
         self.costs = costs
         self.value = value
+
+    def run_phase2(self, objective: list[Fraction]) -> None:
+        """Maximize a structural objective from the current feasible basis."""
+        self._set_objective(objective)
         self._bland_loop(self.nstruct)
+
+    def positive_point(self, j: int) -> RationalVector | None:
+        """Bland phase 2 on ``x_j`` from the current basis, stopped early.
+
+        The first basic point with a positive objective; or, when no row
+        limits the entering column, the basic point moved one unit along
+        that column's ray; or None at a zero optimum.
+        """
+        objective = [ZERO] * self.nstruct
+        objective[j] = ONE
+        self._set_objective(objective)
+        while self.value == 0:
+            entering = self._entering(self.nstruct)
+            if entering is None:
+                return None
+            leaving = self._leaving(entering)
+            if leaving is None:
+                point = self.solution()
+                point[entering] += ONE
+                for i, basic in enumerate(self.basis):
+                    if basic < self.nstruct:
+                        point[basic] -= self.rows[i][entering]
+                return RationalVector(tuple(point))
+            self._pivot(leaving, entering)
+        return RationalVector(tuple(self.solution()))
 
     def solution(self) -> list[Fraction]:
         point = [ZERO] * self.nstruct
@@ -217,6 +249,23 @@ def reference_lp_feasible(matrix: RationalMatrix, rhs: RationalVector) -> Ration
     if not tableau.run_phase1():
         return None
     return RationalVector(tuple(tableau.solution()))
+
+
+def reference_feasible_tableau(matrix: RationalMatrix, rhs: RationalVector) -> FractionTableau | None:
+    """Phase 1 with the artificials driven out, or None if infeasible."""
+    if matrix.rows != rhs.dim:
+        raise ValueError("dimension mismatch")
+    tableau = FractionTableau([list(row) for row in matrix.entries], list(rhs.entries), matrix.cols)
+    if not tableau.run_phase1():
+        return None
+    tableau.drive_out_artificials()
+    return tableau
+
+
+def reference_positive_point(matrix: RationalMatrix, rhs: RationalVector, j: int) -> RationalVector | None:
+    """A feasible point with ``x_j > 0`` from a fresh feasible tableau, or None."""
+    tableau = reference_feasible_tableau(matrix, rhs)
+    return None if tableau is None else tableau.positive_point(j)
 
 
 def reference_lp_maximize_component(matrix: RationalMatrix, rhs: RationalVector, j: int) -> RationalVector | None:
@@ -249,7 +298,7 @@ def reference_lp_maximize_component(matrix: RationalMatrix, rhs: RationalVector,
     return RationalVector(tuple(tableau.solution()[: matrix.cols]))
 
 
-def reference_saturate_support(dec: SourceDecomposition, i: int, order=None):
+def reference_saturate_support(dec: SourceDecomposition, i: int):
     """Support saturation as the engine did it before warm starts: one capped LP per column.
 
     ``(support, witnesses)`` of vertex i, or None when it is infeasible.  The
@@ -267,8 +316,7 @@ def reference_saturate_support(dec: SourceDecomposition, i: int, order=None):
     base = base.with_entry(i, ONE)
     support = set(base.support())
     witnesses = [base]
-    scan = range(dec.m) if order is None else order
-    for j in scan:
+    for j in range(dec.m):
         if j in support:
             continue
         candidate = reference_lp_maximize_component(matrix, target, j)

@@ -27,7 +27,6 @@ from wr1.realize import (
     realize_wr1,
     saturate_support,
 )
-from wr1.simplex import lp_maximize_component
 
 from .conftest import (
     COMPLETE3_TEXT,
@@ -40,6 +39,7 @@ from .conftest import (
 )
 from .oracles import (
     decomposition_of_dynamics,
+    oracle_positive_component,
     random_decomposition,
     random_rated_digraph,
     random_wr1_graph,
@@ -242,9 +242,8 @@ def test_criterion_07_maximality_of_supports():
             for j in range(dec.m):
                 if j in profile.support:
                     continue
-                best = lp_maximize_component(matrix, target, j)
                 checked += 1
-                if best is None or best[j] != 0:
+                if oracle_positive_component(matrix, target, j) is not False:
                     problems.append(f"vertex {profile.vertex} column {j} attainable")
     report(7, not problems, "; ".join(problems[:5]) or f"{checked} excluded pairs checked")
 

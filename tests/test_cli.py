@@ -239,6 +239,34 @@ def test_verify_rejects_wrong_system(capsys, tmp_path):
     assert doc["checks"]["weakly_reversible"] is True
 
 
+def test_verify_rejects_renamed_species(capsys, tmp_path):
+    # same coordinates, but the graph's x -> y at rate 1 and y -> x at rate 2
+    # is not the named system, which has these rates the other way round
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "species": ["x", "y"],
+                "vertices": [[1, 0], [0, 1]],
+                "edges": [{"from": 0, "to": 1, "rate": "1"}, {"from": 1, "to": 0, "rate": "2"}],
+            }
+        )
+    )
+    system = tmp_path / "system.txt"
+    system.write_text("species y, x; y' = -y + 2*x; x' = y - 2*x;")
+    code, out, _ = run_cli(capsys, "verify", "--graph", str(graph_path), "--system", str(system))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["checks"] == {"dynamics_match": False, "single_linkage_class": True, "weakly_reversible": True}
+    assert doc["ok"] is False
+    # the same graph under the system's own names matches
+    graph_path.write_text(graph_path.read_text().replace('["x", "y"]', '["y", "x"]'))
+    code, out, _ = run_cli(capsys, "verify", "--graph", str(graph_path), "--system", str(system))
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_verify_rejects_unrated_graph(capsys, tmp_path):
     path = tmp_path / "bare.json"
     path.write_text(

@@ -98,12 +98,32 @@ def test_saturate_support_infeasible(unrealizable_dec):
     assert saturate_support(unrealizable_dec, 0) is None
 
 
+def permuted(dec, perm):
+    """The same dynamics with vertex k of the result being vertex perm[k] of dec."""
+    columns = [dec.net_vector(old).entries for old in perm]
+    return SourceDecomposition(
+        dec.species, tuple(dec.vertices[old] for old in perm), RationalMatrix.from_columns(columns, rows=dec.n)
+    )
+
+
+def assert_supports_permute(dec, perm):
+    """Saturating the permuted decomposition gives the permuted supports."""
+    moved = permuted(dec, perm)
+    new_index = {old: new for new, old in enumerate(perm)}
+    for new, old in enumerate(perm):
+        original, profile = saturate_support(dec, old), saturate_support(moved, new)
+        if original is None:
+            assert profile is None
+            continue
+        assert profile.support == tuple(sorted(new_index[j] for j in original.support))
+        check_profile(moved, profile)
+
+
 def test_saturate_support_order_independent(cycle4_dec, complete3_dec):
+    # the scan runs in index order, so relabelling the vertices reorders it
     for dec in (cycle4_dec, complete3_dec):
-        for i in range(dec.m):
-            forward = saturate_support(dec, i)
-            backward = saturate_support(dec, i, order=range(dec.m - 1, -1, -1))
-            assert forward.support == backward.support
+        assert_supports_permute(dec, range(dec.m - 1, -1, -1))
+        assert_supports_permute(dec, [*range(1, dec.m), 0])
 
 
 GENERATORS = {
@@ -113,12 +133,12 @@ GENERATORS = {
 }
 
 
-def assert_supports_match_reference(dec, order=None):
+def assert_supports_match_reference(dec):
     """Same supports and infeasible vertices as one capped LP per column; count of the latter."""
     infeasible = 0
     for i in range(dec.m):
-        profile = saturate_support(dec, i, order=order)
-        reference = reference_saturate_support(dec, i, order=order)
+        profile = saturate_support(dec, i)
+        reference = reference_saturate_support(dec, i)
         if reference is None:
             assert profile is None
             infeasible += 1
@@ -137,7 +157,7 @@ def test_supports_match_capped_reference_on_seeded_sweep():
         for _ in range(25):
             dec = make(rng)
             infeasible += assert_supports_match_reference(dec)
-            assert_supports_match_reference(dec, order=range(dec.m - 1, -1, -1))
+            assert_supports_match_reference(permuted(dec, range(dec.m - 1, -1, -1)))
     assert infeasible > 0
 
 
@@ -145,7 +165,16 @@ def test_supports_match_capped_reference_on_seeded_sweep():
 @given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32), st.booleans())
 def test_supports_match_capped_reference(generator, seed, reverse):
     dec = GENERATORS[generator](Random(seed))
-    assert_supports_match_reference(dec, order=range(dec.m - 1, -1, -1) if reverse else None)
+    assert_supports_match_reference(permuted(dec, range(dec.m - 1, -1, -1)) if reverse else dec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32), st.randoms(use_true_random=False))
+def test_permuting_vertices_permutes_supports(generator, seed, rng):
+    dec = GENERATORS[generator](Random(seed))
+    perm = list(range(dec.m))
+    rng.shuffle(perm)
+    assert_supports_permute(dec, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +241,8 @@ def test_decide_wr1_rejects_sink_vertex():
 
 def test_extract_rates_single_witness(cycle3_dec):
     profiles = [saturate_support(cycle3_dec, i) for i in range(3)]
-    rates, averaged = extract_rates(cycle3_dec, profiles)
-    assert rates == {(0, 1): F(1), (1, 2): F(1), (2, 0): F(1)}
-    assert averaged[0] == RationalVector.of([1, 1, 0])
+    assert extract_rates(cycle3_dec, profiles) == {(0, 1): F(1), (1, 2): F(1), (2, 0): F(1)}
+    assert average_witnesses(profiles[0]) == RationalVector.of([1, 1, 0])
 
 
 def test_extract_rates_averages_witnesses():
@@ -230,7 +258,7 @@ def test_extract_rates_averages_witnesses():
     )
     mean = average_witnesses(profile)
     assert mean == RationalVector.of([1, "1/2", "1/4"])
-    rates, _ = extract_rates(dec, [profile] + _padding_profiles(dec))
+    rates = extract_rates(dec, [profile] + _padding_profiles(dec))
     assert rates[(0, 1)] == F(1, 2)
     assert rates[(0, 2)] == F(1, 4)
     # reconstruction: 1/2 * (2-1) + 1/4 * (3-1) = 1
@@ -252,8 +280,7 @@ def test_extract_rates_skips_self_only_support():
         SupportProfile(0, (0, 1), (RationalVector.of([1, 1]),)),
         SupportProfile(1, (1,), (RationalVector.of([0, 1]),)),
     ]
-    rates, _ = extract_rates(dec, profiles)
-    assert rates == {(0, 1): F(1)}
+    assert extract_rates(dec, profiles) == {(0, 1): F(1)}
 
 
 def test_extract_rates_detects_bad_reconstruction():

@@ -11,11 +11,11 @@ from wr1.simplex import lp_feasible, lp_maximize_component
 
 from .oracles import (
     oracle_feasible,
-    oracle_max_component,
     oracle_positive_component,
     random_decomposition,
+    reference_feasible_tableau,
     reference_lp_feasible,
-    reference_lp_maximize_component,
+    reference_positive_point,
 )
 
 F = Fraction
@@ -26,12 +26,25 @@ def check_feasible_point(matrix, rhs, point):
     assert matrix.matvec(point) == rhs
 
 
+def check_positive_point(matrix, rhs, j, point):
+    check_feasible_point(matrix, rhs, point)
+    assert point[j] > 0
+
+
+def check_positive_answer(matrix, rhs, j, point):
+    """None exactly when no feasible point has x_j > 0, else such a point."""
+    if oracle_positive_component(matrix, rhs, j):
+        assert point is not None
+        check_positive_point(matrix, rhs, j, point)
+    else:
+        assert point is None
+
+
 def test_feasible_simple_cone():
     # columns are the displacements out of the first of three vertices
     matrix = RationalMatrix.from_rows([[0, 1, 1], [0, 0, 1]])
     rhs = RationalVector.of([1, 0])
-    point = lp_feasible(matrix, rhs)
-    assert point is not None
+    point = lp_feasible(matrix, rhs).solution()
     check_feasible_point(matrix, rhs, point)
     assert point[2] == 0  # third coordinate is pinned by the second row
 
@@ -44,40 +57,41 @@ def test_infeasible_negative_direction():
 
 def test_zero_rhs_gives_zero_vertex():
     matrix = RationalMatrix.from_rows([[1, -2, 3], [0, 1, 1]])
-    point = lp_feasible(matrix, RationalVector.zero(2))
+    point = lp_feasible(matrix, RationalVector.zero(2)).solution()
     assert point == RationalVector.zero(3)
 
 
 def test_feasible_with_zero_rows_and_columns():
     matrix = RationalMatrix.zeros(2, 3)
-    assert lp_feasible(matrix, RationalVector.zero(2)) == RationalVector.zero(3)
+    assert lp_feasible(matrix, RationalVector.zero(2)).solution() == RationalVector.zero(3)
     assert lp_feasible(matrix, RationalVector.of([1, 0])) is None
 
 
 def test_maximize_reaches_positive_mass():
-    # one species, three collinear vertices: mass can sit on the third column
+    # one species, three collinear vertices: mass can sit on the third column;
+    # phase 1 ends at x1 = 1 and x2 enters at 1/2
     matrix = RationalMatrix.from_rows([[0, 1, 2]])
     rhs = RationalVector.of([1])
     point = lp_maximize_component(matrix, rhs, 2)
-    assert point is not None
-    check_feasible_point(matrix, rhs, point)
-    assert point[2] == F(1, 2)
+    check_positive_answer(matrix, rhs, 2, point)
+    assert point == RationalVector.of([0, 0, F(1, 2)])
 
 
 def test_maximize_respects_unit_cap():
+    # the phase-1 vertex already has x1 = 1 > 0 and is returned as it is;
+    # the search stops at the first positive point and maximizes nothing
     matrix = RationalMatrix.from_rows([[0, 1, 2]])
-    point = lp_maximize_component(matrix, RationalVector.of([1]), 1)
-    assert point is not None
-    assert point[1] == 1  # unconstrained coordinate stops at the cap
+    rhs = RationalVector.of([1])
+    point = lp_maximize_component(matrix, rhs, 1)
+    check_positive_answer(matrix, rhs, 1, point)
+    assert point == RationalVector.of([0, 1, 0])
 
 
 def test_maximize_detects_forced_zero():
     matrix = RationalMatrix.from_rows([[0, 1, 1], [0, 0, 1]])
     rhs = RationalVector.of([1, 0])
-    point = lp_maximize_component(matrix, rhs, 2)
-    assert point is not None
-    check_feasible_point(matrix, rhs, point)
-    assert point[2] == 0
+    assert oracle_positive_component(matrix, rhs, 2) is False
+    assert lp_maximize_component(matrix, rhs, 2) is None
 
 
 def test_maximize_infeasible_returns_none():
@@ -125,13 +139,13 @@ def lp_instances(draw):
 @given(lp_instances())
 def test_feasibility_matches_enumeration_oracle(instance):
     matrix, rhs = instance
-    point = lp_feasible(matrix, rhs)
+    tableau = lp_feasible(matrix, rhs)
     reference = oracle_feasible(matrix, rhs)
     if reference is None:
-        assert point is None
+        assert tableau is None
     else:
-        assert point is not None
-        check_feasible_point(matrix, rhs, point)
+        assert tableau is not None
+        check_feasible_point(matrix, rhs, tableau.solution())
 
 
 @settings(max_examples=120, deadline=None)
@@ -139,19 +153,12 @@ def test_feasibility_matches_enumeration_oracle(instance):
 def test_maximize_matches_enumeration_oracle(instance, j):
     matrix, rhs = instance
     j %= matrix.cols
-    point = lp_maximize_component(matrix, rhs, j)
-    best = oracle_max_component(matrix, rhs, j)
-    if best is None:
-        assert point is None
-    else:
-        assert point is not None
-        check_feasible_point(matrix, rhs, point)
-        assert point[j] <= 1
-        assert point[j] == best
+    check_positive_answer(matrix, rhs, j, lp_maximize_component(matrix, rhs, j))
 
 
 # ---------------------------------------------------------------------------
-# same pivots as the Fraction-row tableau: identical vertices, every j
+# same pivots as the Fraction-row tableau: identical vertices and witnesses,
+# every j, fresh and chained through one tableau
 
 mixed_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
 # mostly zeros, for degenerate bases and zero right-hand sides
@@ -184,9 +191,17 @@ def degenerate_lp_instances(draw):
 
 
 def assert_same_as_reference(matrix, rhs):
-    assert lp_feasible(matrix, rhs) == reference_lp_feasible(matrix, rhs)
+    chained, reference_chained = lp_feasible(matrix, rhs), reference_feasible_tableau(matrix, rhs)
+    if reference_chained is None:
+        assert chained is None
+        assert reference_lp_feasible(matrix, rhs) is None
+    else:
+        # the drive-out pivots are degenerate: the phase-1 vertex is unchanged
+        assert chained.solution() == reference_lp_feasible(matrix, rhs)
     for j in range(matrix.cols):
-        assert lp_maximize_component(matrix, rhs, j) == reference_lp_maximize_component(matrix, rhs, j)
+        assert lp_maximize_component(matrix, rhs, j) == reference_positive_point(matrix, rhs, j)
+        if chained is not None:
+            assert lp_maximize_component(matrix, rhs, j, start=chained) == reference_chained.positive_point(j)
 
 
 @settings(max_examples=300, deadline=None)
@@ -196,8 +211,8 @@ def test_integer_tableau_returns_reference_vertices(instance):
 
 
 def test_integer_tableau_matches_reference_on_seeded_sparse_sweep():
-    # capped maxima with several optimal vertices, where only Bland's
-    # tie-break decides which one is returned; hypothesis rarely builds these
+    # degenerate bases with several eligible leaving rows, where only Bland's
+    # tie-break decides the witness; hypothesis rarely builds these
     rng = Random(1)
     for _ in range(500):
         rows, cols = rng.randint(1, 4), rng.randint(1, 6)
@@ -220,18 +235,13 @@ def test_integer_tableau_matches_reference_on_displacement_matrices():
 
 # ---------------------------------------------------------------------------
 # warm-started positive search: the three exits of Tableau.positive_point,
-# behind lp_maximize_component(..., start=lp_feasible(..., tableau=True))
-
-
-def check_positive_point(matrix, rhs, j, point):
-    check_feasible_point(matrix, rhs, point)
-    assert point[j] > 0
+# behind lp_maximize_component(..., start=lp_feasible(...))
 
 
 def test_positive_point_returns_current_basis_when_already_positive():
     matrix = RationalMatrix.from_rows([[1, 1]])
     rhs = RationalVector.of([1])
-    tableau = lp_feasible(matrix, rhs, tableau=True)
+    tableau = lp_feasible(matrix, rhs)
     assert tableau.positive_point(0) == RationalVector.of([1, 0])
 
 
@@ -240,21 +250,21 @@ def test_positive_point_stops_at_first_positive_basis():
     # at 1 and the search stops there, short of the optimum x2 = 2
     matrix = RationalMatrix.from_rows([[1, 0, 1, -1], [0, 1, 0, 1]])
     rhs = RationalVector.of([1, 1])
-    tableau = lp_feasible(matrix, rhs, tableau=True)
-    assert tableau.solution() == [1, 1, 0, 0]
+    tableau = lp_feasible(matrix, rhs)
+    assert tableau.solution() == RationalVector.of([1, 1, 0, 0])
     point = tableau.positive_point(2)
     assert point == RationalVector.of([0, 1, 1, 0])
     check_positive_point(matrix, rhs, 2, point)
-    assert lp_maximize_component(matrix, rhs, 2, start=lp_feasible(matrix, rhs, tableau=True)) == point
-    assert lp_maximize_component(matrix, rhs, 2)[2] == 1  # the cap, not the stop
+    assert lp_maximize_component(matrix, rhs, 2, start=lp_feasible(matrix, rhs)) == point
+    assert lp_maximize_component(matrix, rhs, 2) == point
 
 
 def test_positive_point_follows_an_unbounded_ray():
     # x0 = x1: x0 is basic at zero and only x1's ray, which no row limits, raises it
     matrix = RationalMatrix.from_rows([[1, -1]])
     rhs = RationalVector.zero(1)
-    tableau = lp_feasible(matrix, rhs, tableau=True)
-    assert tableau.solution() == [0, 0]
+    tableau = lp_feasible(matrix, rhs)
+    assert tableau.solution() == RationalVector.zero(2)
     point = tableau.positive_point(0)
     assert point == RationalVector.of([1, 1])
     check_positive_point(matrix, rhs, 0, point)
@@ -263,18 +273,18 @@ def test_positive_point_follows_an_unbounded_ray():
 def test_positive_point_zero_optimum_is_none():
     matrix = RationalMatrix.from_rows([[0, 1, 1], [0, 0, 1]])
     rhs = RationalVector.of([1, 0])
-    tableau = lp_feasible(matrix, rhs, tableau=True)
+    tableau = lp_feasible(matrix, rhs)
     assert tableau.positive_point(2) is None
     # the tableau stays at a feasible basis for the next column
     check_positive_point(matrix, rhs, 1, tableau.positive_point(1))
 
 
 def test_warm_start_infeasible_and_index_checks():
-    assert lp_feasible(RationalMatrix.from_rows([[0, 1], [0, 0]]), RationalVector.of([-1, 0]), tableau=True) is None
+    assert lp_feasible(RationalMatrix.from_rows([[0, 1], [0, 0]]), RationalVector.of([-1, 0])) is None
     with pytest.raises(ValueError):
-        lp_feasible(RationalMatrix.zeros(2, 2), RationalVector.zero(3), tableau=True)
+        lp_feasible(RationalMatrix.zeros(2, 2), RationalVector.zero(3))
     matrix, rhs = RationalMatrix.zeros(1, 2), RationalVector.zero(1)
-    tableau = lp_feasible(matrix, rhs, tableau=True)
+    tableau = lp_feasible(matrix, rhs)
     with pytest.raises(IndexError):
         tableau.positive_point(2)
     with pytest.raises(IndexError):
@@ -285,19 +295,13 @@ def test_warm_start_infeasible_and_index_checks():
 
 def assert_positive_points_match_oracle(matrix, rhs, order):
     """Fresh and chained searches both answer exactly as the enumeration oracle."""
-    chained = lp_feasible(matrix, rhs, tableau=True)
+    chained = lp_feasible(matrix, rhs)
     if oracle_feasible(matrix, rhs) is None:
         assert chained is None
         return
     for j in order:
-        expected = oracle_positive_component(matrix, rhs, j)
-        fresh = lp_feasible(matrix, rhs, tableau=True).positive_point(j)
-        for point in (fresh, lp_maximize_component(matrix, rhs, j, start=chained)):
-            if expected:
-                assert point is not None
-                check_positive_point(matrix, rhs, j, point)
-            else:
-                assert point is None
+        check_positive_answer(matrix, rhs, j, lp_maximize_component(matrix, rhs, j))
+        check_positive_answer(matrix, rhs, j, lp_maximize_component(matrix, rhs, j, start=chained))
 
 
 @settings(max_examples=150, deadline=None)
