@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import MissingRatesError
-from .ingest import SourceDecomposition
 from .linalg import ONE, ZERO, RationalMatrix, RationalVector, kernel_basis, rank, to_fraction
 
 Edge = tuple[int, int]
@@ -187,19 +186,22 @@ def is_weakly_reversible(graph: EGraph) -> bool:
     return all(membership[s] == membership[t] for s, t in graph.edges)
 
 
-def reaction_vectors(graph: EGraph) -> RationalMatrix:
-    """Matrix whose columns are target minus source, one per edge."""
-    columns = []
-    for source, target in graph.edges:
-        src = graph.vertices[source]
-        dst = graph.vertices[target]
-        columns.append([Fraction(d - s) for s, d in zip(src, dst)])
-    return RationalMatrix.from_columns(columns, rows=graph.n)
-
-
 def stoich_dim(graph: EGraph) -> int:
-    """Dimension of the span of the reaction vectors."""
-    return rank(reaction_vectors(graph))
+    """Dimension of the stoichiometric subspace, the span of the reaction vectors.
+
+    That span equals the span of the differences ``y_k - y_first``, taken
+    over the non-first members k of each linkage class: a difference within
+    one class is the sum of the edge vectors along an undirected path, and
+    each edge vector is a difference of two vertices of one class.  So the
+    rank is taken of the n-by-(m - L) differences, not of the n-by-E edge
+    vectors.
+    """
+    columns = []
+    for members in linkage_classes(graph):
+        first = graph.vertices[members[0]]
+        for k in members[1:]:
+            columns.append([Fraction(a - b) for a, b in zip(graph.vertices[k], first)])
+    return rank(RationalMatrix.from_columns(columns, rows=graph.n))
 
 
 def deficiency(graph: EGraph) -> int:
@@ -208,15 +210,6 @@ def deficiency(graph: EGraph) -> int:
     Reported as computed; no nonnegativity is assumed or asserted.
     """
     return graph.m - len(linkage_classes(graph)) - stoich_dim(graph)
-
-
-def deficiency_from_net_vectors(decomposition: SourceDecomposition) -> int:
-    """Deficiency of a single-linkage weakly reversible realization.
-
-    For such a realization the stoichiometric subspace equals the image of
-    the net-vector matrix, so the deficiency is ``m - 1 - rank``.
-    """
-    return decomposition.m - 1 - rank(decomposition.net_vectors)
 
 
 def kirchhoff_matrix(graph: EGraph) -> RationalMatrix:

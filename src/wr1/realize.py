@@ -21,7 +21,10 @@ does:
    support graph strongly connected as a single component;
 4. average the witnesses per vertex (the step-1 point and each early-exit
    witness of step 2) to obtain rate constants that are strictly positive on
-   the support and reproduce each net vector exactly.
+   the support and reproduce each net vector exactly.  The sum runs on
+   integer numerators over the lcm of the witnesses' denominators, and the
+   check that the rates reproduce the net vector runs on integers too, so
+   a returned rate map already proves that the dynamics match.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 from typing import Sequence
 
 from .errors import InternalInvariantViolation
@@ -182,11 +187,21 @@ def decide_wr1(kirchhoff: RationalMatrix) -> Failure | None:
 
 
 def average_witnesses(profile: SupportProfile) -> RationalVector:
-    """Equal-weight average of the stored witnesses; feasible and positive on the support."""
-    total = profile.witnesses[0]
-    for witness in profile.witnesses[1:]:
-        total = total + witness
-    return total.scaled(Fraction(1, len(profile.witnesses)))
+    """Equal-weight average of the stored witnesses; feasible and positive on the support.
+
+    Summed on integers: each entry is scaled to the lcm ``den`` of all the
+    witnesses' denominators, the numerators are added in one pass, and one
+    Fraction per entry is built at the end over ``den`` times the count.
+    """
+    witnesses = profile.witnesses
+    den = reduce(lcm, {e.denominator for witness in witnesses for e in witness.entries}, 1)
+    totals = [0] * witnesses[0].dim
+    for witness in witnesses:
+        for k, e in enumerate(witness.entries):
+            if e:
+                totals[k] += e.numerator * (den // e.denominator)
+    scale = den * len(witnesses)
+    return RationalVector(tuple(Fraction(total, scale) for total in totals))
 
 
 def extract_rates(
@@ -197,14 +212,17 @@ def extract_rates(
     The average of the witnesses solves the same linear system and is
     strictly positive on the whole support, so every emitted rate is
     positive; a zero rate or an inexact reconstruction is a bug, not an
-    input condition.
+    input condition.  The check runs on integers: the vertex's rates are
+    scaled to their common denominator ``den``, and ``sum scaled * (y_j - y_i)``
+    must equal ``den`` times the net vector.
     """
     rates: dict[tuple[int, int], Fraction] = {}
     for profile in sorted(profiles, key=lambda p: p.vertex):
         i = profile.vertex
         mean = average_witnesses(profile)
         base = decomposition.vertices[i]
-        residual = list(decomposition.net_vector(i).entries)
+        den = reduce(lcm, {mean[j].denominator for j in profile.support if j != i}, 1)
+        produced = [0] * decomposition.n
         for j in profile.support:
             if j == i:
                 continue
@@ -214,10 +232,11 @@ def extract_rates(
                     f"averaged witness of vertex {i} vanishes on supported column {j}"
                 )
             rates[(i, j)] = value
+            scaled = value.numerator * (den // value.denominator)
             other = decomposition.vertices[j]
             for axis in range(decomposition.n):
-                residual[axis] -= value * (other[axis] - base[axis])
-        if any(entry != 0 for entry in residual):
+                produced[axis] += scaled * (other[axis] - base[axis])
+        if any(total != entry * den for total, entry in zip(produced, decomposition.net_vector(i))):
             raise InternalInvariantViolation(
                 f"rates at vertex {i} do not reproduce its net vector"
             )

@@ -454,6 +454,38 @@ def decomposition_of_dynamics(graph: EGraph) -> SourceDecomposition:
 
 
 # ---------------------------------------------------------------------------
+# reference rate and stoichiometry arithmetic: the engine's former Fraction
+# paths, which the integer ones must match value for value
+
+
+def reference_average_witnesses(profile) -> RationalVector:
+    """Equal-weight average of a SupportProfile's witnesses, one Fraction vector sum at a time."""
+    total = profile.witnesses[0]
+    for witness in profile.witnesses[1:]:
+        total = total + witness
+    return total.scaled(Fraction(1, len(profile.witnesses)))
+
+
+def reference_reaction_vectors(graph: EGraph) -> RationalMatrix:
+    """Matrix whose columns are target minus source, one per edge."""
+    columns = []
+    for source, target in graph.edges:
+        src = graph.vertices[source]
+        dst = graph.vertices[target]
+        columns.append([Fraction(d - s) for s, d in zip(src, dst)])
+    return RationalMatrix.from_columns(columns, rows=graph.n)
+
+
+def reference_deficiency_from_net_vectors(decomposition: SourceDecomposition) -> int:
+    """Deficiency of a single-linkage weakly reversible realization.
+
+    For such a realization the stoichiometric subspace equals the image of
+    the net-vector matrix, so the deficiency is ``m - 1 - rank``.
+    """
+    return decomposition.m - 1 - rank(decomposition.net_vectors)
+
+
+# ---------------------------------------------------------------------------
 # random generators
 
 

@@ -279,6 +279,29 @@ def test_verify_rejects_unrated_graph(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_float_rate_is_rejected_not_rounded(capsys, tmp_path):
+    # as a float, 1.0000000000000001 is 1.0, which made this graph verify
+    # against x' = 1 - x and fail against the system it writes down
+    edges = [{"from": 0, "to": 1, "rate": 1.0000000000000001}, {"from": 1, "to": 0, "rate": "1"}]
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(json.dumps({"n": 1, "vertices": [[1], [0]], "edges": edges}))
+    with pytest.raises(SchemaError, match="edge 0->1"):
+        graph_from_json(json.loads(graph_path.read_text()))
+    system = tmp_path / "system.txt"
+    for text in ("species x; x' = 1 - x;", "species x; x' = 1 - 10000000000000001/10000000000000000*x;"):
+        system.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--graph", str(graph_path), "--system", str(system))
+        assert (code, out) == (1, "")
+        assert "bad rate on edge 0->1" in err
+    code, out, err = run_cli(capsys, "analyze", "--graph", str(graph_path))
+    assert (code, out) == (1, "")
+    # an integer or a "p/q" string is read exactly
+    for rate, expected in ((1, 2), ("10000000000000001/10000000000000000", 0)):
+        edges[0]["rate"] = rate
+        graph_path.write_text(json.dumps({"n": 1, "vertices": [[1], [0]], "edges": edges}))
+        assert run_cli(capsys, "verify", "--graph", str(graph_path), "--system", str(system))[0] == expected
+
+
 def test_verify_flags_multi_class_graph(capsys, tmp_path):
     graph_path = tmp_path / "two_class.json"
     graph_path.write_text(json.dumps(graph_to_json(two_terminal_graph(), ("x", "y"))))

@@ -2,12 +2,13 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wr1.errors import MissingRatesError
 from wr1.graphs import (
     EGraph,
     deficiency,
-    deficiency_from_net_vectors,
     is_weakly_reversible,
     kernel_support_check,
     kirchhoff_matrix,
@@ -31,7 +32,14 @@ from .conftest import (
     two_terminal_graph,
     unit_cycle3_graph,
 )
-from .oracles import net_vectors_direct, random_rated_digraph, random_wr_graph
+from .oracles import (
+    net_vectors_direct,
+    random_rated_digraph,
+    random_wr1_graph,
+    random_wr_graph,
+    reference_deficiency_from_net_vectors,
+    reference_reaction_vectors,
+)
 
 F = Fraction
 
@@ -118,6 +126,15 @@ def test_stoich_dim():
     assert stoich_dim(pair) == 1
 
 
+@settings(max_examples=90, deadline=None)
+@given(st.sampled_from((random_rated_digraph, random_wr1_graph, random_wr_graph)), st.integers(0, 2**32))
+def test_stoich_dim_equals_rank_of_edge_vectors(generator, seed):
+    # vertex differences within each linkage class span what the edge vectors
+    # span; random_wr_graph draws one to three classes
+    graph = generator(Random(seed))
+    assert stoich_dim(graph) == rank(reference_reaction_vectors(graph))
+
+
 def test_deficiency_fixtures():
     assert deficiency(two_terminal_graph()) == 2
     assert deficiency(unit_cycle3_graph()) == 0
@@ -130,7 +147,7 @@ def test_deficiency_fixtures():
 def test_deficiency_from_net_vectors_matches_realizations():
     for text, expected in ((CYCLE3_TEXT, 0), (CYCLE4_TEXT, 1), (COMPLETE3_TEXT, 1)):
         dec = decompose(parse_system(text))
-        assert deficiency_from_net_vectors(dec) == expected
+        assert reference_deficiency_from_net_vectors(dec) == expected
         report = realize_wr1(dec)
         assert report.realized
         assert deficiency(report.realization.graph) == expected

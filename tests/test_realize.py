@@ -29,6 +29,7 @@ from .oracles import (
     random_decomposition,
     random_rated_digraph,
     random_wr1_graph,
+    reference_average_witnesses,
     reference_saturate_support,
     wr1_realizable_bruteforce,
 )
@@ -265,6 +266,17 @@ def test_extract_rates_averages_witnesses():
     assert F(1, 2) * 1 + F(1, 4) * 2 == dec.net_vector(0)[0]
 
 
+_ENTRIES = st.sampled_from([F(0), F(7), F(1, 6), F(2, 15), F(3, 4), F(5, 9), F(11, 10)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: st.lists(st.lists(_ENTRIES, min_size=m, max_size=m), min_size=1, max_size=6)))
+def test_average_witnesses_matches_fraction_sum(witnesses):
+    # mixed denominators make the common denominator differ from every single one
+    profile = SupportProfile(0, (0,), tuple(RationalVector(tuple(w)) for w in witnesses))
+    assert average_witnesses(profile) == reference_average_witnesses(profile)
+
+
 def _padding_profiles(dec):
     # feasible profiles for the remaining vertices, only to satisfy extract_rates
     return [saturate_support(dec, i) for i in range(1, dec.m)]
@@ -295,6 +307,25 @@ def test_extract_rates_detects_bad_reconstruction():
     ]
     with pytest.raises(InternalInvariantViolation):
         extract_rates(dec, wrong)
+
+    # rates 1/2 and 1/3 at vertex 0 reproduce 7/6 exactly over their common
+    # denominator 6; a net vector of 1 is off by 1/6
+    def mixed(net):
+        dec = SourceDecomposition(
+            species=("x",),
+            vertices=((0,), (1,), (2,)),
+            net_vectors=RationalMatrix.from_rows([[net, -1, -1]]),
+        )
+        profiles = [
+            SupportProfile(0, (0, 1, 2), (RationalVector.of([1, "1/2", "1/3"]),)),
+            SupportProfile(1, (0, 1), (RationalVector.of([1, 1, 0]),)),
+            SupportProfile(2, (0, 2), (RationalVector.of(["1/2", 0, 1]),)),
+        ]
+        return dec, profiles
+
+    assert extract_rates(*mixed("7/6")) == {(0, 1): F(1, 2), (0, 2): F(1, 3), (1, 0): F(1), (2, 0): F(1, 2)}
+    with pytest.raises(InternalInvariantViolation, match="rates at vertex 0 do not reproduce"):
+        extract_rates(*mixed(1))
 
 
 # ---------------------------------------------------------------------------
