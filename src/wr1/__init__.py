@@ -5,114 +5,31 @@ dynamical system on the positive orthant is generated by some weakly
 reversible reaction network whose graph is a single connected component,
 and constructs the maximal such network (with explicit positive rate
 constants) whenever one exists.
+
+The names below cover parsing, deciding and inspecting a result; the
+building blocks stay importable from their submodules.
 """
 
-from .errors import (
-    DuplicateEquationError,
-    DuplicateVertexError,
-    EmptySystemError,
-    InternalInvariantViolation,
-    MissingRatesError,
-    NegativeExponentError,
-    SchemaError,
-    ShapeMismatchError,
-    SystemSyntaxError,
-    UndeclaredSpeciesError,
-    Wr1Error,
-)
-from .graphs import (
-    EGraph,
-    KernelSupportCheck,
-    StructureReport,
-    deficiency,
-    is_weakly_reversible,
-    kernel_support_check,
-    kirchhoff_matrix,
-    linkage_classes,
-    mass_action_rhs,
-    net_reaction_vectors,
-    stoich_dim,
-    strong_components,
-    structure_report,
-    terminal_components,
-)
-from .ingest import (
-    PolynomialSystem,
-    SourceDecomposition,
-    Term,
-    decompose,
-    load_decomposition,
-    parse_system,
-    render_system,
-)
-from .linalg import RationalMatrix, RationalVector, kernel_basis, rank, solve, to_fraction
-from .realize import (
-    Failure,
-    FailureKind,
-    Realization,
-    RealizationReport,
-    SupportProfile,
-    assert_maximal_supports,
-    build_kirchhoff,
-    decide_wr1,
-    displacement_matrix,
-    extract_rates,
-    realize_wr1,
-    saturate_support,
-)
-from .simplex import lp_feasible, lp_maximize_component
+from .errors import InternalInvariantViolation, Wr1Error
+from .graphs import EGraph, StructureReport, structure_report
+from .ingest import PolynomialSystem, SourceDecomposition, decompose, load_decomposition, parse_system
+from .realize import Failure, FailureKind, Realization, RealizationReport, SupportProfile, realize_wr1
 
 __all__ = [
-    "DuplicateEquationError",
-    "DuplicateVertexError",
     "EGraph",
-    "EmptySystemError",
     "Failure",
     "FailureKind",
     "InternalInvariantViolation",
-    "KernelSupportCheck",
-    "MissingRatesError",
-    "NegativeExponentError",
     "PolynomialSystem",
-    "RationalMatrix",
-    "RationalVector",
     "Realization",
     "RealizationReport",
-    "SchemaError",
-    "ShapeMismatchError",
     "SourceDecomposition",
     "StructureReport",
     "SupportProfile",
-    "SystemSyntaxError",
-    "Term",
-    "UndeclaredSpeciesError",
     "Wr1Error",
-    "assert_maximal_supports",
-    "build_kirchhoff",
-    "decide_wr1",
     "decompose",
-    "deficiency",
-    "displacement_matrix",
-    "extract_rates",
-    "is_weakly_reversible",
-    "kernel_basis",
-    "kernel_support_check",
-    "kirchhoff_matrix",
-    "linkage_classes",
     "load_decomposition",
-    "lp_feasible",
-    "lp_maximize_component",
-    "mass_action_rhs",
-    "net_reaction_vectors",
     "parse_system",
-    "rank",
     "realize_wr1",
-    "render_system",
-    "saturate_support",
-    "solve",
-    "stoich_dim",
-    "strong_components",
     "structure_report",
-    "terminal_components",
-    "to_fraction",
 ]

@@ -16,27 +16,30 @@ import json
 import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import DuplicateVertexError, InternalInvariantViolation, SchemaError, Wr1Error
 from .graphs import (
     EGraph,
     deficiency,
     kernel_support_check,
-    linkage_classes,
     mass_action_rhs,
     net_reaction_vectors,
     structure_report,
 )
-from .ingest import SourceDecomposition, decompose, load_decomposition, parse_system
+from .ingest import (
+    SourceDecomposition,
+    decompose,
+    load_decomposition,
+    parse_json,
+    parse_system,
+    read_text,
+)
 from .linalg import to_fraction
 from .realize import RealizationReport, assert_maximal_supports, realize_wr1
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    return read_text(sys.stdin if path == "-" else path)
 
 
 def _dumps(doc) -> str:
@@ -139,11 +142,7 @@ def graph_from_json(doc) -> tuple[EGraph, tuple[str, ...] | None]:
 
 
 def load_graph(path: str) -> tuple[EGraph, tuple[str, ...] | None]:
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    return graph_from_json(doc)
+    return graph_from_json(parse_json(_read_text(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +332,7 @@ def cmd_verify(args) -> int:
         raise SchemaError("verification needs a rated graph")
     decomposition = decompose(parse_system(_read_text(args.system)))
 
-    weakly_reversible = structure_report(graph).weakly_reversible
-    single_class = len(linkage_classes(graph)) == 1
+    structure = structure_report(graph)
 
     # graph coordinates name the system's species only when the names agree in order
     dynamics_match = graph.n == decomposition.n and species in (None, decomposition.species)
@@ -362,8 +360,8 @@ def cmd_verify(args) -> int:
             spot_checks += 1
 
     checks = {
-        "weakly_reversible": weakly_reversible,
-        "single_linkage_class": single_class,
+        "weakly_reversible": structure.weakly_reversible,
+        "single_linkage_class": len(structure.linkage_classes) == 1,
         "dynamics_match": dynamics_match,
     }
     ok = all(checks.values())

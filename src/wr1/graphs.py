@@ -171,21 +171,6 @@ def strong_components(graph: EGraph) -> tuple[tuple[tuple[int, ...], ...], tuple
     return components, terminal
 
 
-def terminal_components(graph: EGraph) -> tuple[tuple[int, ...], ...]:
-    components, flags = strong_components(graph)
-    return tuple(comp for comp, is_terminal in zip(components, flags) if is_terminal)
-
-
-def is_weakly_reversible(graph: EGraph) -> bool:
-    """True when every connected component is strongly connected."""
-    components, _ = strong_components(graph)
-    membership = {}
-    for c, comp in enumerate(components):
-        for v in comp:
-            membership[v] = c
-    return all(membership[s] == membership[t] for s, t in graph.edges)
-
-
 def stoich_dim(graph: EGraph) -> int:
     """Dimension of the stoichiometric subspace, the span of the reaction vectors.
 
@@ -298,7 +283,8 @@ def kernel_support_check(graph: EGraph) -> KernelSupportCheck:
     """
     kirchhoff = kirchhoff_matrix(graph)
     dim = len(kernel_basis(kirchhoff))
-    terminal = terminal_components(graph)
+    components, flags = strong_components(graph)
+    terminal = tuple(comp for comp, is_terminal in zip(components, flags) if is_terminal)
     dimension_matches = dim == len(terminal)
 
     basis = []
@@ -353,17 +339,14 @@ class StructureReport:
 def structure_report(graph: EGraph) -> StructureReport:
     components, terminal_flags = strong_components(graph)
     classes = linkage_classes(graph)
-    membership = {}
-    for c, comp in enumerate(components):
-        for v in comp:
-            membership[v] = c
-    weakly_reversible = all(membership[s] == membership[t] for s, t in graph.edges)
     s = stoich_dim(graph)
     return StructureReport(
         linkage_classes=classes,
         strong_components=components,
         terminal_flags=terminal_flags,
-        weakly_reversible=weakly_reversible,
+        # an edge between two components leaves its source's component, so
+        # every edge stays inside one component exactly when all are terminal
+        weakly_reversible=all(terminal_flags),
         stoich_dimension=s,
         deficiency=graph.m - len(classes) - s,
     )

@@ -35,6 +35,7 @@ from .errors import (
     ShapeMismatchError,
     SystemSyntaxError,
     UndeclaredSpeciesError,
+    Wr1Error,
 )
 from .linalg import ONE, ZERO, RationalMatrix, RationalVector, to_fraction
 
@@ -78,20 +79,6 @@ class PolynomialSystem:
     @property
     def n(self) -> int:
         return len(self.species)
-
-    def rhs_at(self, point: Iterable[Fraction]) -> RationalVector:
-        """Evaluate the vector field exactly at a positive rational point."""
-        values = tuple(to_fraction(v) for v in point)
-        if len(values) != self.n:
-            raise ValueError("dimension mismatch")
-        total = [ZERO] * self.n
-        for term in self.terms:
-            monomial = ONE
-            for base, exp in zip(values, term.exponents):
-                monomial *= base**exp
-            for s, coeff in enumerate(term.coefficients):
-                total[s] += coeff * monomial
-        return RationalVector(tuple(total))
 
 
 @dataclass(frozen=True)
@@ -219,6 +206,14 @@ class _Parser:
             self.pos += 1
         return token
 
+    def integer(self) -> int:
+        token = self.advance()
+        try:
+            return int(token.text)
+        except ValueError:
+            # past Python's int-conversion digit limit
+            self.fail("integer literal has too many digits", token)
+
     def fail(self, message: str, token: _Token | None = None):
         token = token or self.peek()
         raise SystemSyntaxError(message, token.line, token.col)
@@ -298,13 +293,13 @@ class _Parser:
     def parse_term(self, index: dict[str, int], n: int, sign: Fraction) -> tuple[Fraction, tuple[int, ...]]:
         coeff: Fraction | None = None
         if self.peek().kind == "int":
-            coeff = Fraction(int(self.advance().text))
+            coeff = Fraction(self.integer())
             if self.at_punct("/"):
                 self.advance()
                 denom_token = self.peek()
                 if denom_token.kind != "int":
                     self.fail("expected a denominator")
-                denom = int(self.advance().text)
+                denom = self.integer()
                 if denom == 0:
                     self.fail("zero denominator", denom_token)
                 coeff /= denom
@@ -331,8 +326,7 @@ class _Parser:
                 exp_token = self.peek()
                 if exp_token.kind != "int":
                     self.fail("expected an exponent")
-                self.advance()
-                power = int(exp_token.text)
+                power = self.integer()
                 if negative:
                     raise NegativeExponentError(
                         f"negative exponent on {name_token.text!r}", exp_token.line, exp_token.col
@@ -412,14 +406,25 @@ def decompose(system: PolynomialSystem) -> SourceDecomposition:
 FileSource = Union[str, Path, IO[str]]
 
 
-def _read_json(source: FileSource):
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        raw = Path(source).read_text(encoding="utf-8")
+def read_text(source: FileSource) -> str:
+    """Text of a file path or an open text stream; bytes that are not UTF-8 raise Wr1Error."""
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
+        if hasattr(source, "read"):
+            return source.read()
+        return Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        name = getattr(source, "name", source)
+        raise Wr1Error(f"{name}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def parse_json(text: str):
+    """``json.loads`` that raises SchemaError on every document it cannot decode."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:
+        # a syntax error, or an integer literal past Python's int-conversion digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
@@ -430,7 +435,7 @@ def load_decomposition(source: FileSource) -> SourceDecomposition:
     ``"-1/2"`` to stay exact.  Raises SchemaError / ShapeMismatchError /
     DuplicateVertexError on invalid documents.
     """
-    doc = _read_json(source)
+    doc = parse_json(read_text(source))
     if not isinstance(doc, dict):
         raise SchemaError("top-level JSON value must be an object")
     missing = {"species", "Y_s", "W"} - doc.keys()

@@ -71,11 +71,6 @@ class RationalVector:
     def __iter__(self):
         return iter(self.entries)
 
-    def __add__(self, other: "RationalVector") -> "RationalVector":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return RationalVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
     def scaled(self, factor: RationalLike) -> "RationalVector":
         f = to_fraction(factor)
         return RationalVector(tuple(f * e for e in self.entries))
@@ -84,11 +79,6 @@ class RationalVector:
         items = list(self.entries)
         items[index] = to_fraction(value)
         return RationalVector(tuple(items))
-
-    def dot(self, other: "RationalVector") -> Fraction:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return sum((a * b for a, b in zip(self.entries, other.entries)), ZERO)
 
     def support(self) -> tuple[int, ...]:
         """Indices of the nonzero entries, ascending."""
@@ -254,25 +244,3 @@ def kernel_basis(matrix: RationalMatrix) -> list[RationalVector]:
             vec[pivot_col] = -reduced.entries[row_idx][free]
         basis.append(RationalVector(tuple(vec)))
     return basis
-
-
-def solve(matrix: RationalMatrix, rhs: RationalVector) -> RationalVector | None:
-    """One exact solution of ``matrix @ x = rhs`` with free variables at zero.
-
-    Returns None when the system is inconsistent.  The solution is unique
-    exactly when the matrix has full column rank.
-    """
-    if rhs.dim != matrix.rows:
-        raise ValueError("dimension mismatch")
-    augmented = RationalMatrix(
-        matrix.rows,
-        matrix.cols + 1,
-        tuple(row + (b,) for row, b in zip(matrix.entries, rhs.entries)),
-    )
-    reduced, pivots = rref(augmented)
-    if matrix.cols in pivots:
-        return None
-    solution = [ZERO] * matrix.cols
-    for row_idx, pivot_col in enumerate(pivots):
-        solution[pivot_col] = reduced.entries[row_idx][matrix.cols]
-    return RationalVector(tuple(solution))

@@ -156,17 +156,17 @@ def build_kirchhoff(profiles: Sequence[SupportProfile]) -> RationalMatrix:
     ordered = sorted(profiles, key=lambda p: p.vertex)
     if [p.vertex for p in ordered] != list(range(m)):
         raise ValueError("need exactly one profile per vertex")
-    columns = []
+    # written straight into rows, as displacement_matrix does: no per-entry conversion
+    grid = [[ZERO] * m for _ in range(m)]
     for profile in ordered:
-        column = [ZERO] * m
+        i = profile.vertex
         degree = 0
         for j in profile.support:
-            if j != profile.vertex:
-                column[j] = ONE
+            if j != i:
+                grid[j][i] = ONE
                 degree += 1
-        column[profile.vertex] = Fraction(-degree)
-        columns.append(column)
-    return RationalMatrix.from_columns(columns, rows=m)
+        grid[i][i] = Fraction(-degree)
+    return RationalMatrix(m, m, tuple(tuple(row) for row in grid))
 
 
 def decide_wr1(kirchhoff: RationalMatrix) -> Failure | None:

@@ -13,7 +13,7 @@ from random import Random
 
 from wr1.graphs import EGraph
 from wr1.ingest import PolynomialSystem, SourceDecomposition, Term, decompose
-from wr1.linalg import RationalMatrix, RationalVector, rank, solve
+from wr1.linalg import RationalMatrix, RationalVector, rank, rref
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -21,6 +21,28 @@ ONE = Fraction(1)
 
 # ---------------------------------------------------------------------------
 # linear-program oracles by basic-solution enumeration
+
+
+def solve(matrix: RationalMatrix, rhs: RationalVector) -> RationalVector | None:
+    """One exact solution of ``matrix @ x = rhs`` with free variables at zero.
+
+    Returns None when the system is inconsistent.  The solution is unique
+    exactly when the matrix has full column rank.
+    """
+    if rhs.dim != matrix.rows:
+        raise ValueError("dimension mismatch")
+    augmented = RationalMatrix(
+        matrix.rows,
+        matrix.cols + 1,
+        tuple(row + (b,) for row, b in zip(matrix.entries, rhs.entries)),
+    )
+    reduced, pivots = rref(augmented)
+    if matrix.cols in pivots:
+        return None
+    solution = [ZERO] * matrix.cols
+    for row_idx, pivot_col in enumerate(pivots):
+        solution[pivot_col] = reduced.entries[row_idx][matrix.cols]
+    return RationalVector(tuple(solution))
 
 
 def basic_feasible_points(matrix: RationalMatrix, rhs: RationalVector) -> list[RationalVector]:
@@ -379,6 +401,24 @@ def _strongly_connected(m: int, edges: set[tuple[int, int]]) -> bool:
     return reachable(True) == full and reachable(False) == full
 
 
+def reference_weakly_reversible(graph: EGraph) -> bool:
+    """Does every edge's target reach the edge's source?  One search per edge."""
+    successors: dict[int, list[int]] = {}
+    for s, t in graph.edges:
+        successors.setdefault(s, []).append(t)
+    for source, target in graph.edges:
+        seen = {target}
+        stack = [target]
+        while stack:
+            for w in successors.get(stack.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if source not in seen:
+            return False
+    return True
+
+
 def wr1_realizable_bruteforce(dec: SourceDecomposition) -> bool:
     """Does any strongly connected network on the vertex set generate the dynamics?
 
@@ -459,11 +499,9 @@ def decomposition_of_dynamics(graph: EGraph) -> SourceDecomposition:
 
 
 def reference_average_witnesses(profile) -> RationalVector:
-    """Equal-weight average of a SupportProfile's witnesses, one Fraction vector sum at a time."""
-    total = profile.witnesses[0]
-    for witness in profile.witnesses[1:]:
-        total = total + witness
-    return total.scaled(Fraction(1, len(profile.witnesses)))
+    """Equal-weight average of a SupportProfile's witnesses, one Fraction entry sum at a time."""
+    total = [sum(entries, ZERO) for entries in zip(*profile.witnesses)]
+    return RationalVector(tuple(total)).scaled(Fraction(1, len(profile.witnesses)))
 
 
 def reference_reaction_vectors(graph: EGraph) -> RationalMatrix:

@@ -12,11 +12,11 @@ from random import Random
 
 from wr1.graphs import (
     deficiency,
-    is_weakly_reversible,
     kernel_support_check,
     linkage_classes,
     net_reaction_vectors,
     stoich_dim,
+    structure_report,
 )
 from wr1.ingest import decompose, parse_system
 from wr1.linalg import RationalVector, kernel_basis, rank
@@ -194,7 +194,7 @@ def test_criterion_05_kernel_support_suite():
     closure = autocatalytic_closure_graph()
     if deficiency(closure) != 3:
         problems.append(f"closure deficiency {deficiency(closure)}")
-    if not is_weakly_reversible(closure):
+    if not structure_report(closure).weakly_reversible:
         problems.append("closure not weakly reversible")
 
     report(5, not problems, "; ".join(problems))
@@ -286,7 +286,7 @@ def test_criterion_10_net_vector_rank_suite():
     problems = []
     for idx in range(RANK_SUITE_CASES):
         graph = random_wr_graph(rng)
-        if not is_weakly_reversible(graph):
+        if not structure_report(graph).weakly_reversible:
             problems.append(f"case {idx}: generator emitted a non-reversible graph")
             continue
         if rank(net_reaction_vectors(graph)) != stoich_dim(graph):

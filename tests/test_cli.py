@@ -353,3 +353,54 @@ def test_analyze_bad_json_exit_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--graph", str(path))
     assert code == 1
     assert "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# input that Python itself refuses to decode: one error line, exit 1
+
+
+def assert_input_error(capsys, *argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_non_utf8_input_exit_1(capsys, tmp_path, cycle3_file):
+    text = tmp_path / "system.txt"
+    text.write_bytes(b"species x;\nx\xff' = -x;\n")
+    graph = tmp_path / "graph.json"
+    graph.write_bytes(b'{"n": 1, "vertices": [[0], [1]], "edges": [], "species": ["\xff"]}')
+    good_graph = tmp_path / "good.json"
+    main(["realize", cycle3_file])
+    good_graph.write_text(json.dumps(json.loads(capsys.readouterr().out)["graph"]))
+    located = "not UTF-8 text: invalid start byte at byte"
+    assert_input_error(capsys, "realize", str(text), message=f"system.txt: {located} 12")
+    assert_input_error(capsys, "verify", "--graph", str(good_graph), "--system", str(text), message=f"{located} 12")
+    offset = graph.read_bytes().index(b"\xff")
+    assert_input_error(capsys, "analyze", "--graph", str(graph), message=f"graph.json: {located} {offset}")
+
+
+def test_deeply_nested_json_exit_1(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (
+        ("analyze", "--graph", str(path)),
+        ("verify", "--graph", str(path), "--system", str(path)),
+        ("realize", "--input-kind", "matrices-json", str(path)),
+    ):
+        assert_input_error(capsys, *argv, message="invalid JSON: nested too deeply")
+
+
+def test_integer_past_digit_limit_exit_1(capsys, tmp_path):
+    digits = "7" * 5000
+    coefficient = tmp_path / "coefficient.txt"
+    coefficient.write_text(f"species x;\nx' = {digits}*x - x^2;\n")
+    exponent = tmp_path / "exponent.txt"
+    exponent.write_text(f"species x;\nx' = x - x^{digits};\n")
+    document = tmp_path / "graph.json"
+    document.write_text(f'{{"n": {digits}, "vertices": [], "edges": []}}')
+    too_long = "integer literal has too many digits"
+    assert_input_error(capsys, "realize", str(coefficient), message=f"{too_long} (line 2, column 6)")
+    assert_input_error(capsys, "realize", str(exponent), message=f"{too_long} (line 2, column 12)")
+    assert_input_error(capsys, "analyze", "--graph", str(document), message="invalid JSON: Exceeds the limit")

@@ -9,7 +9,6 @@ from wr1.errors import MissingRatesError
 from wr1.graphs import (
     EGraph,
     deficiency,
-    is_weakly_reversible,
     kernel_support_check,
     kirchhoff_matrix,
     linkage_classes,
@@ -18,7 +17,6 @@ from wr1.graphs import (
     stoich_dim,
     strong_components,
     structure_report,
-    terminal_components,
 )
 from wr1.ingest import decompose, parse_system
 from wr1.linalg import RationalMatrix, RationalVector, rank
@@ -39,6 +37,7 @@ from .oracles import (
     random_wr_graph,
     reference_deficiency_from_net_vectors,
     reference_reaction_vectors,
+    reference_weakly_reversible,
 )
 
 F = Fraction
@@ -92,7 +91,7 @@ def test_strong_components_and_terminal_flags():
     components, terminal = strong_components(two_terminal_graph())
     assert components == ((0, 1), (2, 3), (4, 5))
     assert terminal == (True, False, True)
-    assert terminal_components(two_terminal_graph()) == ((0, 1), (4, 5))
+    assert structure_report(two_terminal_graph()).terminal_components == ((0, 1), (4, 5))
 
 
 def test_strong_components_of_cycle():
@@ -109,10 +108,29 @@ def test_strong_components_of_single_edge():
 
 
 def test_weak_reversibility():
-    assert is_weakly_reversible(unit_cycle3_graph())
-    assert not is_weakly_reversible(two_terminal_graph())
+    assert structure_report(unit_cycle3_graph()).weakly_reversible
+    assert not structure_report(two_terminal_graph()).weakly_reversible
     two_cycle = EGraph(vertices=((0,), (1,)), edges=((0, 1), (1, 0)))
-    assert is_weakly_reversible(two_cycle)
+    assert structure_report(two_cycle).weakly_reversible
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((random_rated_digraph, random_wr1_graph, random_wr_graph)), st.integers(0, 2**32))
+def test_weak_reversibility_matches_reachability(generator, seed):
+    # random_rated_digraph mostly draws graphs that are not weakly reversible
+    graph = generator(Random(seed))
+    assert structure_report(graph).weakly_reversible == reference_weakly_reversible(graph)
+
+
+def test_weak_reversibility_matches_reachability_on_seeded_sweep():
+    rng = Random(23)
+    answers = set()
+    for _ in range(60):
+        graph = random_rated_digraph(rng)
+        weakly_reversible = structure_report(graph).weakly_reversible
+        assert weakly_reversible == reference_weakly_reversible(graph)
+        answers.add(weakly_reversible)
+    assert answers == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +158,7 @@ def test_deficiency_fixtures():
     assert deficiency(unit_cycle3_graph()) == 0
     closure = autocatalytic_closure_graph()
     assert deficiency(closure) == 3
-    assert is_weakly_reversible(closure)
+    assert structure_report(closure).weakly_reversible
     assert len(linkage_classes(closure)) == 1
 
 
@@ -278,7 +296,7 @@ def test_rank_of_net_vectors_equals_stoich_dim_for_wr():
     rng = Random(19)
     for _ in range(40):
         graph = random_wr_graph(rng)
-        assert is_weakly_reversible(graph)
+        assert structure_report(graph).weakly_reversible
         assert rank(net_reaction_vectors(graph)) == stoich_dim(graph)
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wr1.errors import (
     DuplicateEquationError,
@@ -126,6 +128,28 @@ def test_render_round_trip():
         assert decompose(parse_system(render_system(system))) == decompose(system)
 
 
+_COEFFICIENTS = st.one_of(st.just(F(0)), st.builds(F, st.integers(-30, 30), st.integers(1, 12)))
+
+
+@st.composite
+def polynomial_systems(draw):
+    """Rational and negative coefficients, constant terms, and species whose row is all zero."""
+    n = draw(st.integers(1, 3))
+    species = draw(st.lists(st.sampled_from(["x", "y", "z", "A1", "k_2", "Sp"]), min_size=n, max_size=n, unique=True))
+    exponents = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=5, unique=True))
+    terms = []
+    for vertex in sorted(exponents):
+        coefficients = draw(st.tuples(*[_COEFFICIENTS] * n).filter(lambda c: any(c)))
+        terms.append(Term(vertex, coefficients))
+    return PolynomialSystem(tuple(species), tuple(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomial_systems())
+def test_render_parse_round_trip_fuzz(system):
+    assert parse_system(render_system(system)) == system
+
+
 def test_decompose_is_aggregation_invariant():
     merged = parse_system("species x; x' = 3*x^2;")
     split = parse_system("species x; x' = x^2 + 2*x^2;")
@@ -138,7 +162,12 @@ def test_reconstruction_at_random_positive_points():
     dec = decompose(system)
     for _ in range(25):
         point = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in system.species]
-        direct = system.rhs_at(point)
+        # the field straight from the parsed terms
+        direct = [F(0), F(0)]
+        for term in system.terms:
+            monomial = point[0] ** term.exponents[0] * point[1] ** term.exponents[1]
+            direct = [d + monomial * c for d, c in zip(direct, term.coefficients)]
+        direct = RationalVector.of(direct)
         assert dec.rhs_at(point) == direct
         # recompute by explicit monomial summation as an extra guard
         total = [F(0), F(0)]

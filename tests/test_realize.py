@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wr1.errors import InternalInvariantViolation
-from wr1.graphs import is_weakly_reversible, linkage_classes, net_reaction_vectors
+from wr1.graphs import net_reaction_vectors, structure_report
 from wr1.ingest import SourceDecomposition, decompose, parse_system
 from wr1.linalg import RationalMatrix, RationalVector
 from wr1.realize import (
@@ -178,6 +178,39 @@ def test_permuting_vertices_permutes_supports(generator, seed, rng):
     assert_supports_permute(dec, perm)
 
 
+def decision_and_supports(dec):
+    """The failure (None when realized) and each vertex's maximal support (None when infeasible)."""
+    profiles = [saturate_support(dec, i) for i in range(dec.m)]
+    return realize_wr1(dec).failure, [None if p is None else p.support for p in profiles]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32), st.data())
+def test_shifting_every_vertex_keeps_decision_and_supports(generator, seed, data):
+    # the displacement columns y_k - y_i do not see a common shift
+    dec = GENERATORS[generator](Random(seed))
+    shift = data.draw(st.tuples(*[st.integers(0, 4)] * dec.n))
+    moved = SourceDecomposition(
+        dec.species, tuple(tuple(a + b for a, b in zip(v, shift)) for v in dec.vertices), dec.net_vectors
+    )
+    assert decision_and_supports(moved) == decision_and_supports(dec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32), st.randoms(use_true_random=False))
+def test_permuting_species_keeps_decision_and_supports(generator, seed, rng):
+    # the rows of every D_i v = w_i are reordered together: same feasible sets
+    dec = GENERATORS[generator](Random(seed))
+    perm = list(range(dec.n))
+    rng.shuffle(perm)
+    moved = SourceDecomposition(
+        tuple(dec.species[old] for old in perm),
+        tuple(tuple(v[old] for old in perm) for v in dec.vertices),
+        RationalMatrix.from_rows([dec.net_vectors.entries[old] for old in perm]),
+    )
+    assert decision_and_supports(moved) == decision_and_supports(dec)
+
+
 # ---------------------------------------------------------------------------
 # Kirchhoff construction and the kernel decision
 
@@ -337,8 +370,9 @@ def test_realize_cycle3(cycle3_dec):
     assert report.realized
     graph = report.realization.graph
     assert graph.edges == ((0, 1), (1, 2), (2, 0))
-    assert is_weakly_reversible(graph)
-    assert len(linkage_classes(graph)) == 1
+    structure = structure_report(graph)
+    assert structure.weakly_reversible
+    assert len(structure.linkage_classes) == 1
     assert net_reaction_vectors(graph) == cycle3_dec.net_vectors
 
 
