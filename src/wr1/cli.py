@@ -11,7 +11,6 @@ without the denominator).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import random
 import sys
@@ -38,12 +37,24 @@ from .linalg import to_fraction
 from .realize import RealizationReport, assert_maximal_supports, realize_wr1
 
 
-def _read_text(path: str) -> str:
-    return read_text(sys.stdin if path == "-" else path)
+def _source(path: str):
+    return sys.stdin if path == "-" else path
 
 
 def _dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _rational(value: Fraction, where: str) -> str:
+    """``value`` as ``p/q``, or an input error naming ``where`` past the int-to-str digit limit input also meets."""
+    try:
+        return str(value)
+    except ValueError:
+        raise Wr1Error(f"{where} has a number longer than {sys.get_int_max_str_digits()} digits") from None
+
+
+def _rate(graph: EGraph, source: int, target: int) -> str:
+    return _rational(graph.rates[(source, target)], f"rate on edge {source}->{target}")
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +66,7 @@ def graph_to_json(graph: EGraph, species: tuple[str, ...] | None = None) -> dict
     for source, target in graph.edges:
         entry = {"from": source, "to": target}
         if graph.rates is not None:
-            entry["rate"] = str(graph.rates[(source, target)])
+            entry["rate"] = _rate(graph, source, target)
         edges.append(entry)
     doc = {
         "n": graph.n,
@@ -142,7 +153,7 @@ def graph_from_json(doc) -> tuple[EGraph, tuple[str, ...] | None]:
 
 
 def load_graph(path: str) -> tuple[EGraph, tuple[str, ...] | None]:
-    return graph_from_json(parse_json(_read_text(path)))
+    return graph_from_json(parse_json(read_text(_source(path))))
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +179,15 @@ def render_dot(graph: EGraph, species: tuple[str, ...] | None = None) -> str:
     for idx, vertex in enumerate(graph.vertices):
         lines.append(f'  v{idx} [label="{monomial_label(vertex, names)}"];')
     for source, target in graph.edges:
-        label = "" if graph.rates is None else f' [label="{graph.rates[(source, target)]}"]'
+        label = "" if graph.rates is None else f' [label="{_rate(graph, source, target)}"]'
         lines.append(f"  v{source} -> v{target}{label};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def _net_vector_rows(decomposition: SourceDecomposition) -> list[list[str]]:
-    return [[str(e) for e in row] for row in decomposition.net_vectors.entries]
+    rows = decomposition.net_vectors.entries
+    return [[_rational(e, f"net vector of vertex {j}") for j, e in enumerate(row)] for row in rows]
 
 
 def realization_json(
@@ -229,8 +241,7 @@ def realization_human(
             f"deficiency {deficiency(graph)}"
         )
         for source, target in graph.edges:
-            rate = graph.rates[(source, target)]
-            lines.append(f"  {labels[source]} -> {labels[target]}  rate {rate}")
+            lines.append(f"  {labels[source]} -> {labels[target]}  rate {_rate(graph, source, target)}")
         lines.append("supports:")
         for profile in realization.profiles:
             members = ", ".join(labels[j] for j in profile.support)
@@ -260,7 +271,7 @@ def structure_json(graph: EGraph) -> dict:
             "terminal_component_count": len(check.terminal),
             "dimension_matches": check.dimension_matches,
             "supports_match": check.supports_match,
-            "nonnegative_basis": [[str(e) for e in v] for v in check.basis],
+            "nonnegative_basis": [[_rational(e, f"kernel vector {k}") for e in v] for k, v in enumerate(check.basis)],
             "ok": check.ok,
         }
     return doc
@@ -300,11 +311,11 @@ def structure_human(graph: EGraph, species: tuple[str, ...] | None) -> str:
 
 
 def cmd_realize(args) -> int:
-    text = _read_text(args.input)
+    source = _source(args.input)
     if args.input_kind == "ode-text":
-        decomposition = decompose(parse_system(text))
+        decomposition = decompose(parse_system(read_text(source)))
     else:
-        decomposition = load_decomposition(io.StringIO(text))
+        decomposition = load_decomposition(source)
     report = realize_wr1(decomposition)
 
     checked = report.realized and args.check_oracle
@@ -330,7 +341,7 @@ def cmd_verify(args) -> int:
     graph, species = load_graph(args.graph)
     if graph.rates is None:
         raise SchemaError("verification needs a rated graph")
-    decomposition = decompose(parse_system(_read_text(args.system)))
+    decomposition = decompose(parse_system(read_text(_source(args.system))))
 
     structure = structure_report(graph)
 
@@ -428,10 +439,7 @@ def main(argv=None) -> int:
     handlers = {"realize": cmd_realize, "verify": cmd_verify, "analyze": cmd_analyze}
     try:
         return handlers[args.command](args)
-    except Wr1Error as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (Wr1Error, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except InternalInvariantViolation as exc:

@@ -171,18 +171,18 @@ def strong_components(graph: EGraph) -> tuple[tuple[tuple[int, ...], ...], tuple
     return components, terminal
 
 
-def stoich_dim(graph: EGraph) -> int:
+def stoich_dim(graph: EGraph, classes: tuple[tuple[int, ...], ...]) -> int:
     """Dimension of the stoichiometric subspace, the span of the reaction vectors.
 
     That span equals the span of the differences ``y_k - y_first``, taken
     over the non-first members k of each linkage class: a difference within
     one class is the sum of the edge vectors along an undirected path, and
     each edge vector is a difference of two vertices of one class.  So the
-    rank is taken of the n-by-(m - L) differences, not of the n-by-E edge
-    vectors.
+    rank is taken of the n-by-(m - L) differences over ``classes``, the
+    graph's ``linkage_classes`` that every caller already holds.
     """
     columns = []
-    for members in linkage_classes(graph):
+    for members in classes:
         first = graph.vertices[members[0]]
         for k in members[1:]:
             columns.append([Fraction(a - b) for a, b in zip(graph.vertices[k], first)])
@@ -194,7 +194,8 @@ def deficiency(graph: EGraph) -> int:
 
     Reported as computed; no nonnegativity is assumed or asserted.
     """
-    return graph.m - len(linkage_classes(graph)) - stoich_dim(graph)
+    classes = linkage_classes(graph)
+    return graph.m - len(classes) - stoich_dim(graph, classes)
 
 
 def kirchhoff_matrix(graph: EGraph) -> RationalMatrix:
@@ -339,7 +340,7 @@ class StructureReport:
 def structure_report(graph: EGraph) -> StructureReport:
     components, terminal_flags = strong_components(graph)
     classes = linkage_classes(graph)
-    s = stoich_dim(graph)
+    s = stoich_dim(graph, classes)
     return StructureReport(
         linkage_classes=classes,
         strong_components=components,

@@ -21,10 +21,11 @@ coefficient vector (its net reaction vector), so that the dynamics reads
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, NamedTuple, Union
 
 from .errors import (
     DuplicateEquationError,
@@ -138,57 +139,33 @@ class SourceDecomposition:
 # text parsing
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'ident' | 'int' | 'punct' | 'eof'
     text: str
     line: int
     col: int
 
 
-_PUNCT = set(",;'=+-*^/")
+# whitespace and comments match the unnamed alternatives; '.' is any character but '\n'
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<ident>\w+)|(?P<punct>[,;'=+*^/-])|(?P<newline>\n)|[^\S\n]+|#.*|(?P<other>.)")
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """Tokens and a closing 'eof'; an identifier starts with a letter or '_', an integer is decimal digits."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            tokens.append(_Token("int", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise SystemSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind is not None:
+            value, col = match.group(), match.start() - line_start + 1
+            if kind == "other" or (kind == "ident" and not (value[0].isalpha() or value[0] == "_")):
+                raise SystemSyntaxError(f"unexpected character {value[0]!r}", line, col)
+            tokens.append(_Token(kind, value, line, col))
+    # a comment on the last line puts the end of input at its '#'
+    end = text.find("#", line_start)
+    tokens.append(_Token("eof", "", line, (len(text) if end < 0 else end) - line_start + 1))
     return tokens
 
 

@@ -34,9 +34,9 @@ def to_fraction(value: RationalLike) -> Fraction:
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a rational scalar")
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str)):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

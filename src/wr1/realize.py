@@ -21,10 +21,10 @@ does:
    support graph strongly connected as a single component;
 4. average the witnesses per vertex (the step-1 point and each early-exit
    witness of step 2) to obtain rate constants that are strictly positive on
-   the support and reproduce each net vector exactly.  The sum runs on
-   integer numerators over the lcm of the witnesses' denominators, and the
-   check that the rates reproduce the net vector runs on integers too, so
-   a returned rate map already proves that the dynamics match.
+   the support and reproduce each net vector exactly.  One integer sum
+   over the lcm of the witnesses' denominators gives the rates, the
+   positivity check and the check that the rates reproduce the net vector,
+   so a returned rate map already proves that the dynamics match.
 """
 
 from __future__ import annotations
@@ -186,12 +186,12 @@ def decide_wr1(kirchhoff: RationalMatrix) -> Failure | None:
     return None
 
 
-def average_witnesses(profile: SupportProfile) -> RationalVector:
-    """Equal-weight average of the stored witnesses; feasible and positive on the support.
+def average_witnesses(profile: SupportProfile) -> tuple[list[int], int]:
+    """Equal-weight average of the stored witnesses, as ``(totals, scale)``.
 
-    Summed on integers: each entry is scaled to the lcm ``den`` of all the
-    witnesses' denominators, the numerators are added in one pass, and one
-    Fraction per entry is built at the end over ``den`` times the count.
+    Entry k of the average is ``totals[k] / scale``: the numerators are summed
+    in one pass over the lcm ``den`` of all the witnesses' denominators, and
+    ``scale`` is ``den`` times the witness count.
     """
     witnesses = profile.witnesses
     den = reduce(lcm, {e.denominator for witness in witnesses for e in witness.entries}, 1)
@@ -200,8 +200,7 @@ def average_witnesses(profile: SupportProfile) -> RationalVector:
         for k, e in enumerate(witness.entries):
             if e:
                 totals[k] += e.numerator * (den // e.denominator)
-    scale = den * len(witnesses)
-    return RationalVector(tuple(Fraction(total, scale) for total in totals))
+    return totals, den * len(witnesses)
 
 
 def extract_rates(
@@ -212,31 +211,29 @@ def extract_rates(
     The average of the witnesses solves the same linear system and is
     strictly positive on the whole support, so every emitted rate is
     positive; a zero rate or an inexact reconstruction is a bug, not an
-    input condition.  The check runs on integers: the vertex's rates are
-    scaled to their common denominator ``den``, and ``sum scaled * (y_j - y_i)``
-    must equal ``den`` times the net vector.
+    input condition.  Both checks and the rates come from the average's
+    integers: ``sum totals_j * (y_j - y_i)`` must equal ``scale`` times the
+    net vector, and the rate of edge i -> j is ``totals_j / scale``.
     """
     rates: dict[tuple[int, int], Fraction] = {}
     for profile in sorted(profiles, key=lambda p: p.vertex):
         i = profile.vertex
-        mean = average_witnesses(profile)
+        totals, scale = average_witnesses(profile)
         base = decomposition.vertices[i]
-        den = reduce(lcm, {mean[j].denominator for j in profile.support if j != i}, 1)
         produced = [0] * decomposition.n
         for j in profile.support:
             if j == i:
                 continue
-            value = mean[j]
-            if value <= 0:
+            total = totals[j]
+            if total <= 0:
                 raise InternalInvariantViolation(
                     f"averaged witness of vertex {i} vanishes on supported column {j}"
                 )
-            rates[(i, j)] = value
-            scaled = value.numerator * (den // value.denominator)
+            rates[(i, j)] = Fraction(total, scale)
             other = decomposition.vertices[j]
             for axis in range(decomposition.n):
-                produced[axis] += scaled * (other[axis] - base[axis])
-        if any(total != entry * den for total, entry in zip(produced, decomposition.net_vector(i))):
+                produced[axis] += total * (other[axis] - base[axis])
+        if any(got != entry * scale for got, entry in zip(produced, decomposition.net_vector(i))):
             raise InternalInvariantViolation(
                 f"rates at vertex {i} do not reproduce its net vector"
             )
@@ -283,15 +280,15 @@ def assert_maximal_supports(
 ) -> None:
     """Check that no excluded coordinate admits mass; raises on violation.
 
-    For every vertex i and every j outside its support, a fresh search on
-    the vertex's feasible set must prove ``x_j = 0`` there.
+    For every vertex i and every j outside its support, a search on a fresh
+    tableau of the vertex's feasible set must prove ``x_j = 0`` there.
     """
     for profile in profiles:
         matrix = displacement_matrix(decomposition, profile.vertex)
         target = decomposition.net_vector(profile.vertex)
         excluded = set(range(decomposition.m)) - set(profile.support)
         for j in sorted(excluded):
-            if lp_maximize_component(matrix, target, j) is not None:
+            if lp_maximize_component(matrix, target, j, start=lp_feasible(matrix, target)) is not None:
                 raise InternalInvariantViolation(
                     f"support of vertex {profile.vertex} misses attainable column {j}"
                 )

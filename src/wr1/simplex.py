@@ -6,8 +6,8 @@ artificials out of it.  The only phase-2 question is whether some feasible
 point has ``x_j > 0`` (``Tableau.positive_point``): Bland phase 2 on the
 objective ``x_j`` from the current basis, stopping at the first positive
 objective or unbounded ray, or proving ``x_j = 0`` at a zero optimum.  Support
-saturation chains one tableau through all columns of a vertex, each search
-starting from the basis the previous one left.
+saturation chains one ``lp_feasible`` tableau through all columns of a vertex;
+``--check-oracle`` builds a fresh one for each column it checks.
 Anti-cycling uses Bland's rule throughout (smallest eligible entering index,
 ties in the ratio test broken by smallest basic index), which guarantees
 termination under exact arithmetic.
@@ -198,29 +198,21 @@ def lp_feasible(matrix: RationalMatrix, rhs: RationalVector) -> Tableau | None:
 
 
 def lp_maximize_component(
-    matrix: RationalMatrix, rhs: RationalVector, j: int, *, start: Tableau | None = None
+    matrix: RationalMatrix, rhs: RationalVector, j: int, *, start: Tableau
 ) -> RationalVector | None:
     """A feasible point of ``matrix @ x = rhs, x >= 0`` with ``x_j > 0``, or None.
 
-    None means ``x_j = 0`` on the whole feasible set, or that the set is
-    empty.  Despite its name this maximizes nothing: the point is the first
-    one ``Tableau.positive_point`` reaches with ``x_j > 0``.  The name, with
-    ``j`` as the third positional argument, is pinned by the benchmark:
-    ``perfbench/tracing.py`` wraps this function where ``wr1.realize`` looks
-    it up and reads ``j`` from that position.
+    None means ``x_j = 0`` on the whole feasible set.  Despite its name this
+    maximizes nothing: the point is the first one ``Tableau.positive_point``
+    reaches with ``x_j > 0``.  The name, with ``j`` as the third positional
+    argument, is pinned by the benchmark: ``perfbench/tracing.py`` wraps this
+    function where ``wr1.realize`` looks it up and reads ``j`` from that
+    position.
 
-    ``start``, a tableau of the same system from ``lp_feasible``, is searched
-    from its current basis and left at the basis reached, ready for the next
-    column; without it the search runs on a fresh ``lp_feasible`` tableau.
+    ``start``, a tableau of the same system from ``lp_feasible``, is required.
+    It is searched from its current basis and left at the basis reached, ready
+    for the next column; ``--check-oracle`` passes a fresh one per column.
     """
-    if matrix.rows != rhs.dim:
-        raise ValueError("dimension mismatch")
-    if not 0 <= j < matrix.cols:
-        raise IndexError(f"column {j} out of range")
-    if start is None:
-        start = lp_feasible(matrix, rhs)
-        if start is None:
-            return None
-    elif (start.nrows, start.nstruct) != (matrix.rows, matrix.cols):
+    if (start.nrows, start.nstruct) != (matrix.rows, matrix.cols):
         raise ValueError("start tableau does not match the system")
     return start.positive_point(j)

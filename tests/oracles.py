@@ -9,6 +9,7 @@ comparison on separate code paths.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from random import Random
 
 from wr1.graphs import EGraph
@@ -540,14 +541,17 @@ def _distinct_vertices(rng: Random, n: int, m: int, top: int = 3) -> tuple[tuple
     return tuple(sorted(pool))
 
 
-def random_wr1_graph(rng: Random, max_n: int = 4, max_m: int = 6) -> EGraph:
+def random_wr1_graph(rng: Random, max_n: int = 4, max_m: int = 6, balanced: bool = False) -> EGraph:
     """Random strongly connected single-class rated graph, every net vector nonzero.
 
     A shuffled Hamiltonian cycle guarantees strong connectivity and a single
     linkage class; extra edges and the rates are random.  Samples with some
     perfectly balanced vertex are rejected so the dynamics keeps all m
-    monomials visible.
+    monomials visible.  With ``balanced`` the graph has such a vertex
+    instead (see ``_random_balanced_wr1_graph``).
     """
+    if balanced:
+        return _random_balanced_wr1_graph(rng, max_n, max_m)
     while True:
         n = rng.randint(1, max_n)
         m = rng.randint(2, max_m)
@@ -562,6 +566,47 @@ def random_wr1_graph(rng: Random, max_n: int = 4, max_m: int = 6) -> EGraph:
         rates = {edge: _random_fraction(rng) for edge in edges}
         graph = EGraph(vertices=vertices, edges=tuple(sorted(edges)), rates=rates)
         if all(not net.is_zero() for net in net_vectors_direct(graph)):
+            return graph
+
+
+def _random_balanced_wr1_graph(rng: Random, max_n: int, max_m: int) -> EGraph:
+    """Random WR1 graph with a balanced vertex c, whose net vector is zero.
+
+    c is a lattice point strictly inside the segment from vertex a to vertex
+    b, at ``c = a + t (b - a)`` with 0 < t < 1, and its only out-edges go to a
+    and b at rates ``r (1 - t)`` and ``r t``, which cancel.  The other
+    vertices lie on a shuffled Hamiltonian cycle with random extra edges, and
+    one of them has an edge into c, so the graph is strongly connected.  The
+    monomial of c drops out of the dynamics; samples whose dynamics would be
+    empty are rejected.
+    """
+    while True:
+        n = rng.randint(1, max_n)
+        m = rng.randint(3, max_m)
+        vertices = list(_distinct_vertices(rng, n, m - 1))
+        a, b = rng.sample(range(m - 1), 2)
+        step = [q - p for p, q in zip(vertices[a], vertices[b])]
+        g = gcd(*step)
+        if g < 2:
+            continue
+        k = rng.randint(1, g - 1)
+        c = tuple(p + k * d // g for p, d in zip(vertices[a], step))
+        if c in vertices:
+            continue
+        vertices.append(c)
+        order = list(range(m - 1))
+        rng.shuffle(order)
+        edges = {(order[i], order[(i + 1) % (m - 1)]) for i in range(m - 1)}
+        for u in range(m - 1):
+            for v in range(m - 1):
+                if u != v and rng.random() < 0.2:
+                    edges.add((u, v))
+        edges.add((rng.randrange(m - 1), m - 1))
+        rates = {edge: _random_fraction(rng) for edge in edges}
+        r, t = _random_fraction(rng), Fraction(k, g)
+        rates[(m - 1, a)], rates[(m - 1, b)] = r * (1 - t), r * t
+        graph = EGraph(vertices=tuple(vertices), edges=tuple(sorted(rates)), rates=rates)
+        if any(not net.is_zero() for net in net_vectors_direct(graph)):
             return graph
 
 

@@ -289,6 +289,6 @@ def test_criterion_10_net_vector_rank_suite():
         if not structure_report(graph).weakly_reversible:
             problems.append(f"case {idx}: generator emitted a non-reversible graph")
             continue
-        if rank(net_reaction_vectors(graph)) != stoich_dim(graph):
+        if rank(net_reaction_vectors(graph)) != stoich_dim(graph, linkage_classes(graph)):
             problems.append(f"case {idx}: rank differs from stoichiometric dimension")
     report(10, not problems, "; ".join(problems[:5]) or f"{RANK_SUITE_CASES} graphs checked")

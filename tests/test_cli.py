@@ -404,3 +404,21 @@ def test_integer_past_digit_limit_exit_1(capsys, tmp_path):
     assert_input_error(capsys, "realize", str(coefficient), message=f"{too_long} (line 2, column 6)")
     assert_input_error(capsys, "realize", str(exponent), message=f"{too_long} (line 2, column 12)")
     assert_input_error(capsys, "analyze", "--graph", str(document), message="invalid JSON: Exceeds the limit")
+
+
+def test_output_number_past_digit_limit_exit_1(capsys, tmp_path):
+    # every literal is under the 4,300-digit limit, but p1/q1 + p2/q2 has
+    # about 6,000 digits in its numerator and its denominator
+    p1, q1, p2, q2 = (str(10**2999 + k) for k in (1, 3, 7, 9))
+    two = tmp_path / "two.txt"
+    two.write_text(f"species x, y; x' = {p1}/{q1} + {p2}/{q2} - x - x*y; y' = {p2}/{q2} - x*y;")
+    one = tmp_path / "one.txt"
+    one.write_text(f"species x; x' = {p1}/{q1} + {p2}/{q2} - x;")
+    too_long = "has a number longer than 4300 digits"
+    assert_input_error(capsys, "realize", str(two), message=f"error: net vector of vertex 0 {too_long}")
+    for fmt in ("human", "dot"):
+        message = f"error: rate on edge 0->1 {too_long}"
+        assert_input_error(capsys, "realize", str(one), "--format", fmt, message=message)
+    # the engine handles the long numbers; only a printed one past the limit is refused
+    code, out, _ = run_cli(capsys, "realize", str(two), "--format", "human")
+    assert code == 0 and out.startswith("realized")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wr1 import graphs as graphs_module
 from wr1.errors import MissingRatesError
 from wr1.graphs import (
     EGraph,
@@ -138,10 +139,25 @@ def test_weak_reversibility_matches_reachability_on_seeded_sweep():
 
 
 def test_stoich_dim():
-    assert stoich_dim(two_terminal_graph()) == 2
-    assert stoich_dim(unit_cycle3_graph()) == 2
+    for graph, expected in ((two_terminal_graph(), 2), (unit_cycle3_graph(), 2)):
+        assert stoich_dim(graph, linkage_classes(graph)) == expected
     pair = EGraph(vertices=((0, 0), (1, 0)), edges=((0, 1), (1, 0)))
-    assert stoich_dim(pair) == 1
+    assert stoich_dim(pair, linkage_classes(pair)) == 1
+
+
+def test_linkage_classes_run_once_per_structural_call(monkeypatch):
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return linkage_classes(graph)
+
+    monkeypatch.setattr(graphs_module, "linkage_classes", counted)
+    graph = two_terminal_graph()
+    assert deficiency(graph) == 2
+    assert len(calls) == 1
+    assert structure_report(graph).deficiency == 2
+    assert len(calls) == 2
 
 
 @settings(max_examples=90, deadline=None)
@@ -150,7 +166,7 @@ def test_stoich_dim_equals_rank_of_edge_vectors(generator, seed):
     # vertex differences within each linkage class span what the edge vectors
     # span; random_wr_graph draws one to three classes
     graph = generator(Random(seed))
-    assert stoich_dim(graph) == rank(reference_reaction_vectors(graph))
+    assert stoich_dim(graph, linkage_classes(graph)) == rank(reference_reaction_vectors(graph))
 
 
 def test_deficiency_fixtures():
@@ -297,7 +313,7 @@ def test_rank_of_net_vectors_equals_stoich_dim_for_wr():
     for _ in range(40):
         graph = random_wr_graph(rng)
         assert structure_report(graph).weakly_reversible
-        assert rank(net_reaction_vectors(graph)) == stoich_dim(graph)
+        assert rank(net_reaction_vectors(graph)) == stoich_dim(graph, linkage_classes(graph))
 
 
 def test_structure_report_consistency():

@@ -82,6 +82,32 @@ def test_syntax_error_carries_position():
     assert info.value.col == 8
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # a trailing comment without a newline: the end of input sits at its '#'
+        ("species x; x' = x # note", "expected ';' (line 1, column 19)"),
+        ("species x;\r\nx' = 1/0;\r\n", "zero denominator (line 2, column 8)"),
+        # a tab is one column
+        ("species x;\n\tx' = y;", "unknown species 'y' (line 2, column 7)"),
+        ("species α; α' = 2*α;", {(1,): (F(2),)}),
+        # an integer is a run of Unicode decimal digits, as int() reads them
+        ("species x; x' = ٣*x;", {(1,): (F(3),)}),
+        ("species x; x' = ½*x;", "unexpected character '½' (line 1, column 17)"),
+        ("species x; x' = x @ 1;", "unexpected character '@' (line 1, column 19)"),
+        # str.isdigit holds for '²', but it is no decimal digit and int() refuses it
+        ("species x; x' = x^²;", "unexpected character '²' (line 1, column 19)"),
+    ],
+)
+def test_tokenizer_positions_and_character_classes(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(SystemSyntaxError) as info:
+            parse_system(text)
+        assert str(info.value) == expected
+    else:
+        assert term_map(parse_system(text)) == expected
+
+
 def test_undeclared_species_rejected():
     with pytest.raises(UndeclaredSpeciesError):
         parse_system("species x; x' = x*z;")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wr1.errors import InternalInvariantViolation
-from wr1.graphs import net_reaction_vectors, structure_report
+from wr1.graphs import EGraph, net_reaction_vectors, structure_report
 from wr1.ingest import SourceDecomposition, decompose, parse_system
 from wr1.linalg import RationalMatrix, RationalVector
 from wr1.realize import (
@@ -26,6 +26,7 @@ from wr1.realize import (
 
 from .oracles import (
     decomposition_of_dynamics,
+    net_vectors_direct,
     random_decomposition,
     random_rated_digraph,
     random_wr1_graph,
@@ -211,6 +212,39 @@ def test_permuting_species_keeps_decision_and_supports(generator, seed, rng):
     assert decision_and_supports(moved) == decision_and_supports(dec)
 
 
+_SCALES = st.fractions(F(1, 40), 40, max_denominator=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32), _SCALES)
+def test_scaling_net_vectors_keeps_decision_and_supports(generator, seed, scale):
+    # D_i v = s w_i exactly when D_i (v / s) = w_i: the feasible sets scale.
+    # The rates need not scale by s, since a ray exit adds one unit whatever
+    # the size of w; but the scaled system's rates over s must realize the
+    # original one.
+    dec = GENERATORS[generator](Random(seed))
+    rows = [[scale * e for e in row] for row in dec.net_vectors.entries]
+    scaled = SourceDecomposition(dec.species, dec.vertices, RationalMatrix.from_rows(rows))
+    assert decision_and_supports(scaled) == decision_and_supports(dec)
+    report = realize_wr1(scaled)
+    if report.realized:
+        rates = {edge: rate / scale for edge, rate in report.realization.graph.rates.items()}
+        assert all(rate > 0 for rate in rates.values())
+        graph = EGraph(vertices=dec.vertices, edges=tuple(rates), rates=rates)
+        assert net_vectors_direct(graph) == [dec.net_vector(i) for i in range(dec.m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_graphs_with_a_balanced_vertex_match_bruteforce(seed):
+    # the balanced vertex's monomial drops out of the dynamics, so the
+    # realization is sought on the remaining vertices
+    graph = random_wr1_graph(Random(seed), max_n=2, max_m=5, balanced=True)
+    dec = decomposition_of_dynamics(graph)
+    assert dec.m < graph.m
+    assert realize_wr1(dec).realized == wr1_realizable_bruteforce(dec)
+
+
 # ---------------------------------------------------------------------------
 # Kirchhoff construction and the kernel decision
 
@@ -273,10 +307,16 @@ def test_decide_wr1_rejects_sink_vertex():
 # rate extraction
 
 
+def averaged(profile):
+    """The witness average as Fractions, built from its integer numerators and their scale."""
+    totals, scale = average_witnesses(profile)
+    return RationalVector(tuple(F(total, scale) for total in totals))
+
+
 def test_extract_rates_single_witness(cycle3_dec):
     profiles = [saturate_support(cycle3_dec, i) for i in range(3)]
     assert extract_rates(cycle3_dec, profiles) == {(0, 1): F(1), (1, 2): F(1), (2, 0): F(1)}
-    assert average_witnesses(profiles[0]) == RationalVector.of([1, 1, 0])
+    assert averaged(profiles[0]) == reference_average_witnesses(profiles[0]) == RationalVector.of([1, 1, 0])
 
 
 def test_extract_rates_averages_witnesses():
@@ -290,8 +330,7 @@ def test_extract_rates_averages_witnesses():
         support=(0, 1, 2),
         witnesses=(RationalVector.of([1, 1, 0]), RationalVector.of([1, 0, "1/2"])),
     )
-    mean = average_witnesses(profile)
-    assert mean == RationalVector.of([1, "1/2", "1/4"])
+    assert averaged(profile) == reference_average_witnesses(profile) == RationalVector.of([1, "1/2", "1/4"])
     rates = extract_rates(dec, [profile] + _padding_profiles(dec))
     assert rates[(0, 1)] == F(1, 2)
     assert rates[(0, 2)] == F(1, 4)
@@ -307,7 +346,7 @@ _ENTRIES = st.sampled_from([F(0), F(7), F(1, 6), F(2, 15), F(3, 4), F(5, 9), F(1
 def test_average_witnesses_matches_fraction_sum(witnesses):
     # mixed denominators make the common denominator differ from every single one
     profile = SupportProfile(0, (0,), tuple(RationalVector(tuple(w)) for w in witnesses))
-    assert average_witnesses(profile) == reference_average_witnesses(profile)
+    assert averaged(profile) == reference_average_witnesses(profile)
 
 
 def _padding_profiles(dec):

@@ -40,6 +40,12 @@ def check_positive_answer(matrix, rhs, j, point):
         assert point is None
 
 
+def fresh_search(matrix, rhs, j):
+    """The search on a fresh lp_feasible tableau, as --check-oracle runs it; None when infeasible."""
+    tableau = lp_feasible(matrix, rhs)
+    return None if tableau is None else lp_maximize_component(matrix, rhs, j, start=tableau)
+
+
 def test_feasible_simple_cone():
     # columns are the displacements out of the first of three vertices
     matrix = RationalMatrix.from_rows([[0, 1, 1], [0, 0, 1]])
@@ -72,7 +78,7 @@ def test_maximize_reaches_positive_mass():
     # phase 1 ends at x1 = 1 and x2 enters at 1/2
     matrix = RationalMatrix.from_rows([[0, 1, 2]])
     rhs = RationalVector.of([1])
-    point = lp_maximize_component(matrix, rhs, 2)
+    point = lp_maximize_component(matrix, rhs, 2, start=lp_feasible(matrix, rhs))
     check_positive_answer(matrix, rhs, 2, point)
     assert point == RationalVector.of([0, 0, F(1, 2)])
 
@@ -82,7 +88,7 @@ def test_maximize_respects_unit_cap():
     # the search stops at the first positive point and maximizes nothing
     matrix = RationalMatrix.from_rows([[0, 1, 2]])
     rhs = RationalVector.of([1])
-    point = lp_maximize_component(matrix, rhs, 1)
+    point = lp_maximize_component(matrix, rhs, 1, start=lp_feasible(matrix, rhs))
     check_positive_answer(matrix, rhs, 1, point)
     assert point == RationalVector.of([0, 1, 0])
 
@@ -91,18 +97,19 @@ def test_maximize_detects_forced_zero():
     matrix = RationalMatrix.from_rows([[0, 1, 1], [0, 0, 1]])
     rhs = RationalVector.of([1, 0])
     assert oracle_positive_component(matrix, rhs, 2) is False
-    assert lp_maximize_component(matrix, rhs, 2) is None
+    assert lp_maximize_component(matrix, rhs, 2, start=lp_feasible(matrix, rhs)) is None
 
 
 def test_maximize_infeasible_returns_none():
     matrix = RationalMatrix.from_rows([[0, 1], [0, 0]])
-    assert lp_maximize_component(matrix, RationalVector.of([-1, 0]), 1) is None
+    # no start tableau exists, so there is nothing to search
+    assert lp_feasible(matrix, RationalVector.of([-1, 0])) is None
 
 
 def test_maximize_validates_index():
-    matrix = RationalMatrix.zeros(1, 2)
+    matrix, rhs = RationalMatrix.zeros(1, 2), RationalVector.zero(1)
     with pytest.raises(IndexError):
-        lp_maximize_component(matrix, RationalVector.zero(1), 2)
+        lp_maximize_component(matrix, rhs, 2, start=lp_feasible(matrix, rhs))
 
 
 def test_dimension_mismatch_rejected():
@@ -153,7 +160,7 @@ def test_feasibility_matches_enumeration_oracle(instance):
 def test_maximize_matches_enumeration_oracle(instance, j):
     matrix, rhs = instance
     j %= matrix.cols
-    check_positive_answer(matrix, rhs, j, lp_maximize_component(matrix, rhs, j))
+    check_positive_answer(matrix, rhs, j, fresh_search(matrix, rhs, j))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +206,7 @@ def assert_same_as_reference(matrix, rhs):
         # the drive-out pivots are degenerate: the phase-1 vertex is unchanged
         assert chained.solution() == reference_lp_feasible(matrix, rhs)
     for j in range(matrix.cols):
-        assert lp_maximize_component(matrix, rhs, j) == reference_positive_point(matrix, rhs, j)
+        assert fresh_search(matrix, rhs, j) == reference_positive_point(matrix, rhs, j)
         if chained is not None:
             assert lp_maximize_component(matrix, rhs, j, start=chained) == reference_chained.positive_point(j)
 
@@ -256,7 +263,6 @@ def test_positive_point_stops_at_first_positive_basis():
     assert point == RationalVector.of([0, 1, 1, 0])
     check_positive_point(matrix, rhs, 2, point)
     assert lp_maximize_component(matrix, rhs, 2, start=lp_feasible(matrix, rhs)) == point
-    assert lp_maximize_component(matrix, rhs, 2) == point
 
 
 def test_positive_point_follows_an_unbounded_ray():
@@ -300,7 +306,7 @@ def assert_positive_points_match_oracle(matrix, rhs, order):
         assert chained is None
         return
     for j in order:
-        check_positive_answer(matrix, rhs, j, lp_maximize_component(matrix, rhs, j))
+        check_positive_answer(matrix, rhs, j, fresh_search(matrix, rhs, j))
         check_positive_answer(matrix, rhs, j, lp_maximize_component(matrix, rhs, j, start=chained))
 
 
