@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import MissingRatesError
-from .linalg import ONE, ZERO, RationalMatrix, RationalVector, kernel_basis, rank, to_fraction
+from .linalg import ZERO, RationalMatrix, RationalVector, kernel_basis, monomials_at, rank, to_fraction
 
 Edge = tuple[int, int]
 
@@ -234,7 +236,14 @@ def net_reaction_vectors(graph: EGraph) -> RationalMatrix:
 
 
 def mass_action_rhs(graph: EGraph, point: Iterable[Fraction]) -> RationalVector:
-    """Exact mass-action vector field of the rated graph at a positive point."""
+    """Exact mass-action vector field of the rated graph at a positive point.
+
+    Summed edge by edge, independently of :func:`net_reaction_vectors`, on
+    integers: each source vertex's monomial comes from
+    :func:`~wr1.linalg.monomials_at` once, each rate is scaled to the lcm of
+    the rate denominators, and each entry becomes one reduced Fraction over
+    the common denominator at the end.
+    """
     if graph.rates is None:
         raise MissingRatesError("mass-action evaluation needs rate constants")
     values = tuple(to_fraction(v) for v in point)
@@ -242,16 +251,19 @@ def mass_action_rhs(graph: EGraph, point: Iterable[Fraction]) -> RationalVector:
         raise ValueError("dimension mismatch")
     if any(v <= 0 for v in values):
         raise ValueError("evaluation point must be strictly positive")
-    total = [ZERO] * graph.n
+    sources = sorted({source for source, _ in graph.edges})
+    numerators, denominator = monomials_at(values, [graph.vertices[i] for i in sources])
+    monomial = dict(zip(sources, numerators))
+    scale = reduce(lcm, (rate.denominator for rate in graph.rates.values()), 1)
+    total = [0] * graph.n
     for (source, target), rate in graph.rates.items():
         src = graph.vertices[source]
         dst = graph.vertices[target]
-        monomial = ONE
-        for base, exp in zip(values, src):
-            monomial *= base**exp
+        weight = rate.numerator * (scale // rate.denominator) * monomial[source]
         for axis in range(graph.n):
-            total[axis] += rate * monomial * (dst[axis] - src[axis])
-    return RationalVector(tuple(total))
+            total[axis] += (dst[axis] - src[axis]) * weight
+    denominator *= scale
+    return RationalVector(tuple(Fraction(t, denominator) for t in total))
 
 
 @dataclass(frozen=True)

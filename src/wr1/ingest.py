@@ -24,6 +24,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Union
 
@@ -38,7 +40,7 @@ from .errors import (
     UndeclaredSpeciesError,
     Wr1Error,
 )
-from .linalg import ONE, ZERO, RationalMatrix, RationalVector, to_fraction
+from .linalg import ONE, ZERO, RationalMatrix, RationalVector, monomials_at, to_fraction
 
 
 @dataclass(frozen=True)
@@ -120,18 +122,22 @@ class SourceDecomposition:
         return self.net_vectors.column(i)
 
     def rhs_at(self, point: Iterable[Fraction]) -> RationalVector:
-        """Evaluate ``sum_i x^{vertex_i} * net_i`` exactly."""
+        """Evaluate ``sum_i x^{vertex_i} * net_i`` exactly.
+
+        Runs on integers: the monomials come from
+        :func:`~wr1.linalg.monomials_at` over one common denominator, each
+        species' net-vector entries are scaled to the lcm of their
+        denominators, and each entry becomes one reduced Fraction at the end.
+        """
         values = tuple(to_fraction(v) for v in point)
         if len(values) != self.n:
             raise ValueError("dimension mismatch")
-        total = [ZERO] * self.n
-        for i, vertex in enumerate(self.vertices):
-            monomial = ONE
-            for base, exp in zip(values, vertex):
-                monomial *= base**exp
-            column = self.net_vectors.column(i)
-            for s in range(self.n):
-                total[s] += column[s] * monomial
+        numerators, denominator = monomials_at(values, self.vertices)
+        total = []
+        for row in self.net_vectors.entries:
+            scale = reduce(lcm, (c.denominator for c in row), 1)
+            value = sum(c.numerator * (scale // c.denominator) * num for c, num in zip(row, numerators))
+            total.append(Fraction(value, denominator * scale))
         return RationalVector(tuple(total))
 
 
@@ -308,7 +314,15 @@ class _Parser:
                     raise NegativeExponentError(
                         f"negative exponent on {name_token.text!r}", exp_token.line, exp_token.col
                     )
-            exponents[index[name_token.text]] += power
+            axis = index[name_token.text]
+            exponents[axis] += power
+            if exponents[axis] != power:
+                # a repeated factor: a sum of in-limit literals can pass Python's
+                # int-to-str digit limit, which every rendering of the vertex hits
+                try:
+                    str(exponents[axis])
+                except ValueError:
+                    self.fail("summed exponent has too many digits", name_token)
             saw_factor = True
             if self.at_punct("*"):
                 self.advance()

@@ -54,10 +54,6 @@ class RationalVector:
     def of(cls, values: Iterable[RationalLike]) -> "RationalVector":
         return cls(tuple(to_fraction(v) for v in values))
 
-    @classmethod
-    def zero(cls, dim: int) -> "RationalVector":
-        return cls((ZERO,) * dim)
-
     @property
     def dim(self) -> int:
         return len(self.entries)
@@ -86,9 +82,6 @@ class RationalVector:
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
-
-    def is_nonnegative(self) -> bool:
-        return all(e >= 0 for e in self.entries)
 
 
 @dataclass(frozen=True)
@@ -131,24 +124,8 @@ class RationalMatrix:
         data = tuple(tuple(col[i] for col in cols) for i in range(height))
         return cls(height, len(cols), data)
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, tuple((ZERO,) * cols for _ in range(rows)))
-
-    def row(self, i: int) -> RationalVector:
-        return RationalVector(self.entries[i])
-
     def column(self, j: int) -> RationalVector:
         return RationalVector(tuple(row[j] for row in self.entries))
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols, self.rows, tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
-        )
 
     def matvec(self, vector: RationalVector) -> RationalVector:
         if vector.dim != self.cols:
@@ -160,6 +137,30 @@ class RationalMatrix:
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "RationalMatrix":
         data = tuple(tuple(self.entries[i][j] for j in col_indices) for i in row_indices)
         return RationalMatrix(len(row_indices), len(col_indices), data)
+
+
+def monomials_at(point: Sequence[Fraction], exponents: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """Every monomial ``point ** y`` for ``y`` in ``exponents``, as integers over one denominator.
+
+    Returns ``(numerators, denominator)`` with ``numerators[k] / denominator``
+    equal to ``prod_s point[s] ** exponents[k][s]``.  Species s with value
+    ``p/q`` contributes ``p**(y_s - lo) * q**(hi - y_s)`` to each numerator
+    and ``p**(-lo) * q**hi`` to the denominator, where ``lo = min(0, min_y
+    y_s)`` and ``hi = max(0, max_y y_s)``: every power has a nonnegative
+    exponent, so negative exponents stay exact integers.  Nothing is
+    reduced; a value of 0 needs ``lo == 0``.
+    """
+    numerators = [1] * len(exponents)
+    denominator = 1
+    for s, value in enumerate(point):
+        column = [y[s] for y in exponents]
+        lo = min([0, *column])
+        hi = max([0, *column])
+        p, q = value.numerator, value.denominator
+        denominator *= p**-lo * q**hi
+        for k, e in enumerate(column):
+            numerators[k] *= p ** (e - lo) * q ** (hi - e)
+    return numerators, denominator
 
 
 def _integer_row(values: Iterable[Fraction]) -> tuple[list[int], int]:

@@ -12,9 +12,10 @@ from itertools import combinations, product
 from math import gcd
 from random import Random
 
+from wr1.errors import MissingRatesError
 from wr1.graphs import EGraph
 from wr1.ingest import PolynomialSystem, SourceDecomposition, Term, decompose
-from wr1.linalg import RationalMatrix, RationalVector, rank, rref
+from wr1.linalg import RationalMatrix, RationalVector, rank, rref, to_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -495,14 +496,51 @@ def decomposition_of_dynamics(graph: EGraph) -> SourceDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# reference rate and stoichiometry arithmetic: the engine's former Fraction
-# paths, which the integer ones must match value for value
+# reference rate, stoichiometry and evaluation arithmetic: the engine's former
+# Fraction paths, which the integer ones must match value for value
 
 
 def reference_average_witnesses(profile) -> RationalVector:
     """Equal-weight average of a SupportProfile's witnesses, one Fraction entry sum at a time."""
     total = [sum(entries, ZERO) for entries in zip(*profile.witnesses)]
     return RationalVector(tuple(total)).scaled(Fraction(1, len(profile.witnesses)))
+
+
+def reference_mass_action_rhs(graph: EGraph, point) -> RationalVector:
+    """Mass-action vector field at a positive point, one Fraction product per edge."""
+    if graph.rates is None:
+        raise MissingRatesError("mass-action evaluation needs rate constants")
+    values = tuple(to_fraction(v) for v in point)
+    if len(values) != graph.n:
+        raise ValueError("dimension mismatch")
+    if any(v <= 0 for v in values):
+        raise ValueError("evaluation point must be strictly positive")
+    total = [ZERO] * graph.n
+    for (source, target), rate in graph.rates.items():
+        src = graph.vertices[source]
+        dst = graph.vertices[target]
+        monomial = ONE
+        for base, exp in zip(values, src):
+            monomial *= base**exp
+        for axis in range(graph.n):
+            total[axis] += rate * monomial * (dst[axis] - src[axis])
+    return RationalVector(tuple(total))
+
+
+def reference_rhs_at(decomposition: SourceDecomposition, point) -> RationalVector:
+    """``sum_i x^{vertex_i} * net_i``, one Fraction product per vertex and species."""
+    values = tuple(to_fraction(v) for v in point)
+    if len(values) != decomposition.n:
+        raise ValueError("dimension mismatch")
+    total = [ZERO] * decomposition.n
+    for i, vertex in enumerate(decomposition.vertices):
+        monomial = ONE
+        for base, exp in zip(values, vertex):
+            monomial *= base**exp
+        column = decomposition.net_vectors.column(i)
+        for s in range(decomposition.n):
+            total[s] += column[s] * monomial
+    return RationalVector(tuple(total))
 
 
 def reference_reaction_vectors(graph: EGraph) -> RationalMatrix:
@@ -608,6 +646,18 @@ def _random_balanced_wr1_graph(rng: Random, max_n: int, max_m: int) -> EGraph:
         graph = EGraph(vertices=tuple(vertices), edges=tuple(sorted(rates)), rates=rates)
         if any(not net.is_zero() for net in net_vectors_direct(graph)):
             return graph
+
+
+def translated(graph: EGraph, offset: tuple[int, ...], idle: int | None = None) -> EGraph:
+    """The rated graph moved by an integer vector (possibly off the orthant).
+
+    With ``idle`` a species whose exponent is 0 in every vertex is inserted
+    at that axis after the move.
+    """
+    vertices = tuple(tuple(c + d for c, d in zip(vertex, offset)) for vertex in graph.vertices)
+    if idle is not None:
+        vertices = tuple(vertex[:idle] + (0,) + vertex[idle:] for vertex in vertices)
+    return EGraph(vertices=vertices, edges=graph.edges, rates=graph.rates)
 
 
 def random_rated_digraph(rng: Random, max_m: int = 8) -> EGraph:

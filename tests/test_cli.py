@@ -302,6 +302,24 @@ def test_float_rate_is_rejected_not_rounded(capsys, tmp_path):
         assert run_cli(capsys, "verify", "--graph", str(graph_path), "--system", str(system))[0] == expected
 
 
+def test_verify_spot_checks_graph_with_negative_coordinates(capsys, tmp_path):
+    # vertex -1 is balanced (out to 0 and -2 at equal rates), so the net
+    # vectors match x' = 1 - x and the spot checks evaluate x^-1 and x^-2
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(
+        '{"n":1,"vertices":[[-1],[0],[-2],[1]],"edges":[{"from":0,"to":1,"rate":1},'
+        '{"from":0,"to":2,"rate":1},{"from":1,"to":3,"rate":1},{"from":3,"to":1,"rate":1}]}'
+    )
+    system = tmp_path / "system.txt"
+    system.write_text("species x; x' = 1 - x;")
+    code, out, err = run_cli(capsys, "verify", "--graph", str(graph_path), "--system", str(system))
+    assert (code, err) == (2, "")
+    assert out == (
+        '{\n  "checks": {\n    "dynamics_match": true,\n    "single_linkage_class": true,\n'
+        '    "weakly_reversible": false\n  },\n  "ok": false,\n  "spot_checks": 5\n}\n'
+    )
+
+
 def test_verify_flags_multi_class_graph(capsys, tmp_path):
     graph_path = tmp_path / "two_class.json"
     graph_path.write_text(json.dumps(graph_to_json(two_terminal_graph(), ("x", "y"))))
@@ -404,6 +422,19 @@ def test_integer_past_digit_limit_exit_1(capsys, tmp_path):
     assert_input_error(capsys, "realize", str(coefficient), message=f"{too_long} (line 2, column 6)")
     assert_input_error(capsys, "realize", str(exponent), message=f"{too_long} (line 2, column 12)")
     assert_input_error(capsys, "analyze", "--graph", str(document), message="invalid JSON: Exceeds the limit")
+
+
+def test_summed_exponent_past_digit_limit_exit_1(capsys, tmp_path):
+    # each literal is at the 4,300-digit limit, but x^A*x^A sums to 4,301 digits
+    digits = "9" * 4300
+    path = tmp_path / "system.txt"
+    path.write_text(f"species x;\nx' = x^{digits}*x^{digits} - x;\n")
+    message = f"summed exponent has too many digits (line 2, column {4300 + 9})"
+    for fmt in ("json", "human"):
+        assert_input_error(capsys, "realize", str(path), "--format", fmt, message=message)
+    # a repeated factor within the limit still sums
+    path.write_text(f"species x;\nx' = x^{digits[1:]}*x^{digits[1:]} - x;\n")
+    assert run_cli(capsys, "realize", str(path), "--quiet")[0] == 2
 
 
 def test_output_number_past_digit_limit_exit_1(capsys, tmp_path):

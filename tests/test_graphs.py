@@ -37,8 +37,10 @@ from .oracles import (
     random_wr1_graph,
     random_wr_graph,
     reference_deficiency_from_net_vectors,
+    reference_mass_action_rhs,
     reference_reaction_vectors,
     reference_weakly_reversible,
+    translated,
 )
 
 F = Fraction
@@ -283,6 +285,38 @@ def test_mass_action_rhs_equals_decomposition_evaluation():
 def test_mass_action_rhs_requires_positive_point():
     with pytest.raises(ValueError):
         mass_action_rhs(unit_cycle3_graph(), [F(1), F(0)])
+
+
+# 1 is a point p/q with p = q; the rates of both generators have mixed denominators
+_POSITIVE_ENTRIES = st.one_of(st.just(F(1)), st.builds(F, st.integers(1, 9), st.integers(1, 9)))
+
+
+def _rated_graph(kind, rng):
+    if kind == "digraph":
+        return random_rated_digraph(rng)
+    return random_wr1_graph(rng, balanced=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("digraph", "balanced")), st.integers(0, 2**32), st.data())
+def test_mass_action_rhs_matches_fraction_reference(kind, seed, data):
+    graph = _rated_graph(kind, Random(seed))
+    offset = data.draw(st.tuples(*[st.integers(-5, 5)] * graph.n))
+    idle = data.draw(st.none() | st.integers(0, graph.n))
+    graph = translated(graph, offset, idle)
+    point = data.draw(st.lists(_POSITIVE_ENTRIES, min_size=graph.n, max_size=graph.n))
+    assert mass_action_rhs(graph, point) == reference_mass_action_rhs(graph, point)
+
+
+def test_mass_action_rhs_matches_fraction_reference_sweep():
+    rng = Random(23)
+    for k in range(300):
+        graph = _rated_graph(("digraph", "balanced")[k % 2], rng)
+        # offsets down to -6 take vertices off the orthant
+        offset = tuple(rng.randint(-6, 2) for _ in range(graph.n))
+        graph = translated(graph, offset, rng.randint(0, graph.n) if k % 4 == 0 else None)
+        point = [F(rng.randint(1, 9), rng.randint(1, 9)) if rng.random() < 0.8 else F(1) for _ in range(graph.n)]
+        assert mass_action_rhs(graph, point) == reference_mass_action_rhs(graph, point)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from wr1.errors import (
 )
 from wr1.ingest import (
     PolynomialSystem,
+    SourceDecomposition,
     Term,
     decompose,
     load_decomposition,
@@ -28,6 +29,7 @@ from wr1.ingest import (
 from wr1.linalg import RationalMatrix, RationalVector
 
 from .conftest import CYCLE3_TEXT, CYCLE4_TEXT, COMPLETE3_TEXT
+from .oracles import random_decomposition, reference_rhs_at
 
 F = Fraction
 
@@ -202,6 +204,42 @@ def test_reconstruction_at_random_positive_points():
             column = dec.net_vectors.column(i)
             total = [t + monomial * c for t, c in zip(total, column)]
         assert RationalVector.of(total) == direct
+
+
+# any sign and 0 are allowed here, 1 is a point p/q with p = q, and the
+# net-vector entries of random_decomposition have mixed denominators
+_ENTRIES = st.one_of(st.just(F(1)), st.builds(F, st.integers(-9, 9), st.integers(1, 9)))
+
+
+def _with_idle_species(dec, axis, row):
+    """``dec`` with one more species, at ``axis``, whose exponent is 0 in every vertex."""
+    vertices = tuple(vertex[:axis] + (0,) + vertex[axis:] for vertex in dec.vertices)
+    rows = list(dec.net_vectors.entries)
+    rows.insert(axis, row)
+    species = tuple(f"s{i + 1}" for i in range(dec.n + 1))
+    return SourceDecomposition(species, vertices, RationalMatrix.from_rows(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_rhs_at_matches_fraction_reference(seed, data):
+    dec = random_decomposition(Random(seed), max_m=6)
+    if data.draw(st.booleans()):
+        axis = data.draw(st.integers(0, dec.n))
+        dec = _with_idle_species(dec, axis, data.draw(st.lists(_ENTRIES, min_size=dec.m, max_size=dec.m)))
+    point = data.draw(st.lists(_ENTRIES, min_size=dec.n, max_size=dec.n))
+    assert dec.rhs_at(point) == reference_rhs_at(dec, point)
+
+
+def test_rhs_at_matches_fraction_reference_sweep():
+    rng = Random(29)
+    for k in range(300):
+        dec = random_decomposition(rng, max_m=6)
+        if k % 3 == 0:
+            row = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(dec.m)]
+            dec = _with_idle_species(dec, rng.randint(0, dec.n), row)
+        point = [F(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.8 else F(1) for _ in range(dec.n)]
+        assert dec.rhs_at(point) == reference_rhs_at(dec, point)
 
 
 def test_polynomial_system_validation():

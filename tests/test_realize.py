@@ -44,7 +44,7 @@ def check_profile(dec, profile):
     assert profile.vertex in profile.support
     union = set()
     for witness in profile.witnesses:
-        assert witness.is_nonnegative()
+        assert all(e >= 0 for e in witness)
         assert matrix.matvec(witness) == target
         union |= set(witness.support())
     assert tuple(sorted(union)) == profile.support
@@ -265,7 +265,7 @@ def test_build_kirchhoff_complete(complete3_dec):
 
 def test_build_kirchhoff_single_vertex_is_zero():
     profile = SupportProfile(vertex=0, support=(0,), witnesses=(RationalVector.of([1]),))
-    assert build_kirchhoff([profile]) == RationalMatrix.zeros(1, 1)
+    assert build_kirchhoff([profile]) == RationalMatrix.from_rows([[0]])
 
 
 def test_build_kirchhoff_needs_every_vertex():
@@ -440,7 +440,7 @@ def test_realize_single_vertex_zero_net():
     dec = SourceDecomposition(
         species=("x",),
         vertices=((2,),),
-        net_vectors=RationalMatrix.zeros(1, 1),
+        net_vectors=RationalMatrix.from_rows([[0]]),
     )
     report = realize_wr1(dec)
     assert report.failure.kind is FailureKind.SINGLE_VERTEX

@@ -22,7 +22,7 @@ F = Fraction
 
 
 def check_feasible_point(matrix, rhs, point):
-    assert point.is_nonnegative()
+    assert all(e >= 0 for e in point)
     assert matrix.matvec(point) == rhs
 
 
@@ -63,13 +63,13 @@ def test_infeasible_negative_direction():
 
 def test_zero_rhs_gives_zero_vertex():
     matrix = RationalMatrix.from_rows([[1, -2, 3], [0, 1, 1]])
-    point = lp_feasible(matrix, RationalVector.zero(2)).solution()
-    assert point == RationalVector.zero(3)
+    point = lp_feasible(matrix, RationalVector.of([0, 0])).solution()
+    assert point == RationalVector.of([0, 0, 0])
 
 
 def test_feasible_with_zero_rows_and_columns():
-    matrix = RationalMatrix.zeros(2, 3)
-    assert lp_feasible(matrix, RationalVector.zero(2)).solution() == RationalVector.zero(3)
+    matrix = RationalMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
+    assert lp_feasible(matrix, RationalVector.of([0, 0])).solution() == RationalVector.of([0, 0, 0])
     assert lp_feasible(matrix, RationalVector.of([1, 0])) is None
 
 
@@ -107,14 +107,14 @@ def test_maximize_infeasible_returns_none():
 
 
 def test_maximize_validates_index():
-    matrix, rhs = RationalMatrix.zeros(1, 2), RationalVector.zero(1)
+    matrix, rhs = RationalMatrix.from_rows([[0, 0]]), RationalVector.of([0])
     with pytest.raises(IndexError):
         lp_maximize_component(matrix, rhs, 2, start=lp_feasible(matrix, rhs))
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        lp_feasible(RationalMatrix.zeros(2, 2), RationalVector.zero(3))
+        lp_feasible(RationalMatrix.from_rows([[0, 0], [0, 0]]), RationalVector.of([0, 0, 0]))
 
 
 small_fractions = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
@@ -268,9 +268,9 @@ def test_positive_point_stops_at_first_positive_basis():
 def test_positive_point_follows_an_unbounded_ray():
     # x0 = x1: x0 is basic at zero and only x1's ray, which no row limits, raises it
     matrix = RationalMatrix.from_rows([[1, -1]])
-    rhs = RationalVector.zero(1)
+    rhs = RationalVector.of([0])
     tableau = lp_feasible(matrix, rhs)
-    assert tableau.solution() == RationalVector.zero(2)
+    assert tableau.solution() == RationalVector.of([0, 0])
     point = tableau.positive_point(0)
     assert point == RationalVector.of([1, 1])
     check_positive_point(matrix, rhs, 0, point)
@@ -288,15 +288,15 @@ def test_positive_point_zero_optimum_is_none():
 def test_warm_start_infeasible_and_index_checks():
     assert lp_feasible(RationalMatrix.from_rows([[0, 1], [0, 0]]), RationalVector.of([-1, 0])) is None
     with pytest.raises(ValueError):
-        lp_feasible(RationalMatrix.zeros(2, 2), RationalVector.zero(3))
-    matrix, rhs = RationalMatrix.zeros(1, 2), RationalVector.zero(1)
+        lp_feasible(RationalMatrix.from_rows([[0, 0], [0, 0]]), RationalVector.of([0, 0, 0]))
+    matrix, rhs = RationalMatrix.from_rows([[0, 0]]), RationalVector.of([0])
     tableau = lp_feasible(matrix, rhs)
     with pytest.raises(IndexError):
         tableau.positive_point(2)
     with pytest.raises(IndexError):
         lp_maximize_component(matrix, rhs, 2, start=tableau)
     with pytest.raises(ValueError, match="start tableau"):
-        lp_maximize_component(RationalMatrix.zeros(1, 3), rhs, 0, start=tableau)
+        lp_maximize_component(RationalMatrix.from_rows([[0, 0, 0]]), rhs, 0, start=tableau)
 
 
 def assert_positive_points_match_oracle(matrix, rhs, order):
