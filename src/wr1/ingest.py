@@ -474,10 +474,10 @@ def load_decomposition(source: FileSource) -> SourceDecomposition:
     if len(set(vertices)) != len(vertices):
         raise DuplicateVertexError("'Y_s' has two identical vertex columns")
 
-    try:
-        net = RationalMatrix.from_rows(
-            [[to_fraction(e) for e in row] for row in net_rows]
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"'W' entries must be exact rationals: {exc}") from exc
-    return SourceDecomposition(tuple(species), tuple(vertices), net)
+    net_entries = []
+    for i, row in enumerate(net_rows):
+        try:
+            net_entries.append([to_fraction(e) for e in row])
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"'W' row {i} (species {species[i]!r}) must hold exact rationals: {exc}") from exc
+    return SourceDecomposition(tuple(species), tuple(vertices), RationalMatrix.from_rows(net_entries))

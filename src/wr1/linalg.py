@@ -5,19 +5,24 @@ so that ranks, kernels, and support sets are decided exactly.  Matrices are
 dense and row-major, which is plenty for the problem sizes this package
 targets (tens of rows and columns).
 
-Elimination itself (here and in the simplex tableau) runs on integer rows: a
-row is a list of ``int`` numerators over one positive ``int`` denominator,
-kept primitive (the denominator and all numerators share no factor), so each
-entry equals the Fraction it replaces and only ``int`` arithmetic runs in the
-inner loops.
+Elimination itself (here and in the simplex tableau) is fraction-free
+Gauss-Jordan on integer rows: all rows of a matrix stand over one shared
+denominator ``det``, the last pivot taken (up to sign, the determinant of
+the pivot block of the integer starting rows).  A pivot ``p`` replaces each
+other row ``a`` by ``(p * a - f * b) // det``, where ``b`` is the pivot row
+and ``f`` the row's entry in the pivot column, and then sets ``det = p``.
+The division is exact (Bareiss 1968; Edmonds 1967), so only ``int``
+arithmetic runs in the inner loops, no common factor is ever divided out,
+and an entry becomes a Fraction only when it is returned.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -26,11 +31,16 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# Fraction() also parses "1e1000000", a value far past the digit limit literals meet
+_LITERAL = re.compile(r"[+-]?\d+(/\d+)?")
+
+
 def to_fraction(value: RationalLike) -> Fraction:
-    """Coerce an int, a Fraction, or a string like ``-3/4`` to a Fraction.
+    """Coerce an int, a Fraction, or a string like ``-3/4`` or ``5`` to a Fraction.
 
     Floats are deliberately not accepted: a float sneaking in would silently
-    turn exact support decisions into approximate ones.
+    turn exact support decisions into approximate ones.  Neither are decimal
+    or exponent strings such as ``"1.5"`` or ``"1e9"``.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a rational scalar")
@@ -38,6 +48,8 @@ def to_fraction(value: RationalLike) -> Fraction:
         return value
     if isinstance(value, (int, str)):
         try:
+            if isinstance(value, str) and not _LITERAL.fullmatch(value):
+                raise ValueError(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
@@ -163,36 +175,22 @@ def monomials_at(point: Sequence[Fraction], exponents: Sequence[Sequence[int]]) 
     return numerators, denominator
 
 
-def _integer_row(values: Iterable[Fraction]) -> tuple[list[int], int]:
-    """Primitive integer row over the least common denominator of ``values``."""
-    values = list(values)
+def _denominator(values: Iterable[Fraction]) -> int:
+    """The least common denominator of ``values``."""
     # reduce, not lcm(*...): star-arguments build a tuple per call
-    den = reduce(lcm, (v.denominator for v in values), 1)
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return reduce(lcm, (v.denominator for v in values), 1)
 
 
-def _normalized(nums: list[int], den: int) -> tuple[list[int], int]:
-    """The row ``nums / den`` with a positive denominator and no common factor."""
-    if den < 0:
-        nums = [-a for a in nums]
-        den = -den
-    if den != 1:
-        g = reduce(gcd, nums, den)
-        if g != 1:
-            nums = [a // g for a in nums]
-            den //= g
-    return nums, den
-
-
-def _eliminate(nums: list[int], den: int, pivot: list[int], pivot_den: int, col: int) -> tuple[list[int], int]:
-    """Row ``nums / den`` minus its ``col`` entry times a pivot row whose ``col`` entry is 1."""
-    factor = nums[col]
-    return _normalized([pivot_den * a - factor * b for a, b in zip(nums, pivot)], den * pivot_den)
+def _integer_row(values: Iterable[Fraction], den: int) -> list[int]:
+    """``values`` times ``den``, a common denominator of theirs, as integers."""
+    return [v.numerator * (den // v.denominator) for v in values]
 
 
 def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns, exactly."""
-    work = [_integer_row(row) for row in matrix.entries]
+    # scaling a row does not change the reduced form: each row starts as integers
+    work = [_integer_row(row, _denominator(row)) for row in matrix.entries]
+    det = 1
     pivots: list[int] = []
     pivot_row = 0
     for col in range(matrix.cols):
@@ -200,23 +198,26 @@ def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
             break
         chosen = None
         for r in range(pivot_row, matrix.rows):
-            if work[r][0][col] != 0:
+            if work[r][col] != 0:
                 chosen = r
                 break
         if chosen is None:
             continue
         work[pivot_row], work[chosen] = work[chosen], work[pivot_row]
-        nums = work[pivot_row][0]
-        pivot, pivot_den = work[pivot_row] = _normalized(nums, nums[col])
+        pivot = work[pivot_row]
+        p = pivot[col]
         for r in range(matrix.rows):
-            if r != pivot_row and work[r][0][col] != 0:
-                work[r] = _eliminate(*work[r], pivot, pivot_den, col)
+            if r != pivot_row:
+                f = work[r][col]
+                work[r] = [(p * a - f * b) // det for a, b in zip(work[r], pivot)]
+        det = p
         pivots.append(col)
         pivot_row += 1
+    # det may be negative: Fraction normalizes the sign
     reduced = RationalMatrix(
         matrix.rows,
         matrix.cols,
-        tuple(tuple(Fraction(a, den) if a else ZERO for a in nums) for nums, den in work),
+        tuple(tuple(Fraction(a, det) if a else ZERO for a in nums) for nums in work),
     )
     return reduced, tuple(pivots)
 

@@ -11,57 +11,55 @@ saturation chains one ``lp_feasible`` tableau through all columns of a vertex;
 Anti-cycling uses Bland's rule throughout (smallest eligible entering index,
 ties in the ratio test broken by smallest basic index), which guarantees
 termination under exact arithmetic.
+
+The tableau is fraction-free (see ``linalg``): its integer rows share one
+positive denominator, so every sign test reads the true sign.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import lcm
 
 from .errors import InternalInvariantViolation
-from .linalg import ONE, ZERO, RationalMatrix, RationalVector, _eliminate, _integer_row, _normalized
+from .linalg import ONE, ZERO, RationalMatrix, RationalVector, _denominator, _integer_row
 
 
 class Tableau:
-    """Dense simplex tableau for ``A x = b, x >= 0`` with artificial basis.
+    """Dense fraction-free simplex tableau for ``A x = b, x >= 0`` with artificial basis.
 
     Artificial columns are appended after the structural ones; they start as
-    the basis and are never allowed to re-enter once they leave.  Each row,
-    the reduced-cost row included, is a primitive integer row over a positive
-    denominator (see ``linalg``) whose last entry is the right-hand side; the
-    cost row's last entry is the negated objective value.
+    the basis and are never allowed to re-enter once they leave.  Every row,
+    the reduced-cost row included, is a list of integers over the one
+    positive denominator ``det`` (see ``linalg``); the last entry of a row is
+    its right-hand side, and the cost row's last entry is the negated
+    objective value.  Each basic column is ``det`` times a unit vector.
     """
 
     def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], nstruct: int):
         self.nstruct = nstruct
         self.nrows = len(rows)
         self.width = self.nstruct + self.nrows
-        self.rows: list[list[int]] = []
-        self.dens: list[int] = []
-        for i, (row, b) in enumerate(zip(rows, rhs)):
-            nums, den = _integer_row([*row, b])
-            if b < 0:
-                nums = [-a for a in nums]
-            rhs_num = nums.pop()
-            nums.extend(den if k == i else 0 for k in range(self.nrows))
-            nums.append(rhs_num)
-            self.rows.append(nums)
-            self.dens.append(den)
+        signed = [[*row, b] if b >= 0 else [-a for a in (*row, b)] for row, b in zip(rows, rhs)]
+        # one scale for all rows, so phase 1 still minimizes the plain sum of the artificials
+        den = _denominator(a for row in signed for a in row)
+        self.rows = [
+            [*nums[:-1], *(int(k == i) for k in range(self.nrows)), nums[-1]]
+            for i, nums in enumerate(_integer_row(row, den) for row in signed)
+        ]
+        self.det = 1
         self.basis = list(range(self.nstruct, self.width))
         self.costs: list[int] = [0] * (self.width + 1)
-        self.cost_den = 1
 
     def _pivot(self, row: int, col: int):
-        nums = self.rows[row]
-        pivot, pivot_den = _normalized(nums, nums[col])
-        self.rows[row] = pivot
-        self.dens[row] = pivot_den
-        for r in range(self.nrows):
-            if r != row and self.rows[r][col] != 0:
-                self.rows[r], self.dens[r] = _eliminate(self.rows[r], self.dens[r], pivot, pivot_den, col)
-        if self.costs[col] != 0:
-            self.costs, self.cost_den = _eliminate(self.costs, self.cost_den, pivot, pivot_den, col)
+        pivot = self.rows[row]
+        p, det = pivot[col], self.det
+        for r, nums in enumerate(self.rows):
+            if r != row:
+                f = nums[col]
+                self.rows[r] = [(p * a - f * b) // det for a, b in zip(nums, pivot)]
+        f = self.costs[col]
+        self.costs = [(p * a - f * b) // det for a, b in zip(self.costs, pivot)]
+        self.det = p
         self.basis[row] = col
 
     def _entering(self) -> int | None:
@@ -73,7 +71,7 @@ class Tableau:
 
     def _leaving(self, entering: int) -> int | None:
         """Row of the ratio test for ``entering``, or None when no row limits it."""
-        # ratio rhs_i / coeff_i: a row's denominator cancels, so compare
+        # ratio rhs_i / coeff_i: the shared det cancels, so compare
         # numerators cross-multiplied (both coefficients are positive)
         leaving = None
         best_num = best_coeff = 0
@@ -94,15 +92,10 @@ class Tableau:
 
     def run_phase1(self) -> bool:
         """Minimize the artificial mass; True iff the constraints are feasible."""
-        # maximize -(sum of artificials): the cost row is the sum of all rows
-        # with the artificial entries cleared, its last entry the total rhs
-        den = reduce(lcm, self.dens, 1)
-        costs = [0] * (self.width + 1)
-        for nums, row_den in zip(self.rows, self.dens):
-            scale = den // row_den
-            costs = [c + scale * a for c, a in zip(costs, nums)]
-        costs[self.nstruct : self.width] = [0] * self.nrows
-        self.costs, self.cost_den = _normalized(costs, den)
+        # maximize -(sum of artificials): with det = 1 the cost row is the sum
+        # of all rows with the artificial entries cleared, its last entry the total rhs
+        self.costs = [sum(column) for column in zip(self.costs, *self.rows)]
+        self.costs[self.nstruct : self.width] = [0] * self.nrows
         while (entering := self._entering()) is not None:
             leaving = self._leaving(entering)
             if leaving is None:
@@ -123,6 +116,9 @@ class Tableau:
                 continue
             for j in range(self.nstruct):
                 if self.rows[i][j] != 0:
+                    if self.rows[i][j] < 0:
+                        # keep det positive: the row's rhs is zero, so no point moves
+                        self.rows[i] = [-a for a in self.rows[i]]
                     self._pivot(i, j)
                     break
 
@@ -139,13 +135,11 @@ class Tableau:
         """
         if not 0 <= j < self.nstruct:
             raise IndexError(f"column {j} out of range")
-        # reduced costs of the objective x_j at the current basis
-        costs, den = [0] * (self.width + 1), 1
-        costs[j] = 1
-        for i, basic in enumerate(self.basis):
-            if costs[basic] != 0:
-                costs, den = _eliminate(costs, den, self.rows[i], self.dens[i], basic)
-        self.costs, self.cost_den = costs, den
+        # reduced costs of the objective x_j at the current basis, times det
+        self.costs = [0] * (self.width + 1)
+        self.costs[j] = self.det
+        if j in self.basis:
+            self.costs = [a - b for a, b in zip(self.costs, self.rows[self.basis.index(j)])]
         # the cost row's last entry is minus the objective value
         while self.costs[-1] == 0:
             entering = self._entering()
@@ -167,7 +161,7 @@ class Tableau:
         point[entering] += ONE
         for i, basic in enumerate(self.basis):
             if basic < self.nstruct:
-                point[basic] -= Fraction(self.rows[i][entering], self.dens[i])
+                point[basic] -= Fraction(self.rows[i][entering], self.det)
         return RationalVector(tuple(point))
 
     def solution(self) -> RationalVector:
@@ -175,7 +169,7 @@ class Tableau:
         point = [ZERO] * self.nstruct
         for i, basic in enumerate(self.basis):
             if basic < self.nstruct:
-                point[basic] = Fraction(self.rows[i][-1], self.dens[i])
+                point[basic] = Fraction(self.rows[i][-1], self.det)
         return RationalVector(tuple(point))
 
 

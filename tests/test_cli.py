@@ -204,6 +204,22 @@ def test_realize_matrices_json_input(capsys, tmp_path):
     assert json.loads(out)["deficiency"] == 0
 
 
+def test_exponent_literals_are_rejected_with_their_location(capsys, tmp_path):
+    # "1e9" is not an integer or p/q; as "1e1000000" it would cost seconds to build
+    doc = {"species": ["x", "y"], "Y_s": [[1, 2, 2], [0, 0, 1]], "W": [["1", "0", "-1"], ["0", "1e9", "-1"]]}
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "realize", str(path), "--input-kind", "matrices-json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "'W' row 1 (species 'y')" in err and "'1e9'" in err
+    graph_path = tmp_path / "graph.json"
+    edges = [{"from": 0, "to": 1, "rate": "1"}, {"from": 1, "to": 0, "rate": "1e9"}]
+    graph_path.write_text(json.dumps({"n": 1, "vertices": [[1], [0]], "edges": edges}))
+    code, out, err = run_cli(capsys, "analyze", "--graph", str(graph_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "bad rate on edge 1->0: '1e9'" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -33,6 +33,15 @@ def test_to_fraction_rejects_floats_and_bools():
         to_fraction("1/0")
 
 
+def test_to_fraction_takes_only_integer_or_ratio_strings():
+    # Fraction() itself reads all but "1/2/3" and "+", and takes seconds over "1e10000000"
+    for text in ("1e9", "1.5", " 1", "1_0", "1/2/3", "+", "1e10000000"):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            to_fraction(text)
+    assert to_fraction("+7") == 7
+    assert to_fraction("-10/4") == F(-5, 2)
+
+
 def test_vector_basics():
     v = RationalVector.of([1, 0, "-2/3"])
     assert v.dim == 3

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wr1.linalg import RationalMatrix, RationalVector
 from wr1.realize import displacement_matrix
-from wr1.simplex import lp_feasible, lp_maximize_component
+from wr1.simplex import Tableau, lp_feasible, lp_maximize_component
 
 from .oracles import (
     oracle_feasible,
@@ -324,3 +324,52 @@ def test_positive_point_matches_oracle_on_displacement_matrices():
         dec = random_decomposition(rng, max_n=3, max_m=6)
         for i in range(dec.m):
             assert_positive_points_match_oracle(displacement_matrix(dec, i), dec.net_vector(i), range(dec.m))
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free tableau: one positive det, every basic column det * e_row
+
+
+def check_tableau_invariant(tableau):
+    assert tableau.det > 0
+    for i, basic in enumerate(tableau.basis):
+        assert [row[basic] for row in tableau.rows] == [tableau.det if k == i else 0 for k in range(tableau.nrows)]
+        assert tableau.costs[basic] == 0
+
+
+def test_fraction_free_tableau_keeps_one_positive_denominator(monkeypatch):
+    # zero-rhs rows with negative entries leave artificials basic after phase 1,
+    # and the drive-out must pivot on a negative entry
+    negative_pivots = 0
+    drive_out = Tableau.drive_out_artificials
+
+    def counting_drive_out(tableau):
+        nonlocal negative_pivots
+        for i, basic in enumerate(tableau.basis):
+            first = next((a for a in tableau.rows[i][: tableau.nstruct] if a != 0), 0)
+            negative_pivots += basic >= tableau.nstruct and first < 0
+        drive_out(tableau)
+
+    monkeypatch.setattr(Tableau, "drive_out_artificials", counting_drive_out)
+    rng = Random(7)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 6)
+        entries = [
+            [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else F(0) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        # a redundant row: a rational combination of two others
+        a, b = rng.randrange(rows), rng.randrange(rows)
+        s, t = F(rng.randint(-3, 3), rng.randint(1, 3)), F(rng.randint(-3, 3), rng.randint(1, 3))
+        entries.append([s * x + t * y for x, y in zip(entries[a], entries[b])])
+        matrix = RationalMatrix.from_rows(entries)
+        point = [F(rng.randint(0, 2)) if rng.random() < 0.3 else F(0) for _ in range(cols)]
+        rhs = matrix.matvec(RationalVector(tuple(point)))
+        tableau = lp_feasible(matrix, rhs)
+        check_tableau_invariant(tableau)
+        for j in rng.sample(range(cols), cols):
+            found = tableau.positive_point(j)
+            check_tableau_invariant(tableau)
+            if found is not None:
+                check_positive_point(matrix, rhs, j, found)
+    assert negative_pivots > 0
