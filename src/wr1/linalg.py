@@ -1,9 +1,10 @@
 """Exact rational vectors and matrices with elimination-based linear algebra.
 
-Every scalar is a ``fractions.Fraction``; floats are rejected at the boundary
-so that ranks, kernels, and support sets are decided exactly.  Matrices are
-dense and row-major, which is plenty for the problem sizes this package
-targets (tens of rows and columns).
+Every scalar is a ``fractions.Fraction``, or an ``int`` where a matrix is
+built from integers directly (the displacement matrices of ``realize``);
+floats are rejected at the boundary so that ranks, kernels, and support sets
+are decided exactly.  Matrices are dense and row-major, which is plenty for
+the problem sizes this package targets (tens of rows and columns).
 
 Elimination itself (here and in the simplex tableau) is fraction-free
 Gauss-Jordan on integer rows: all rows of a matrix stand over one shared
@@ -98,11 +99,11 @@ class RationalVector:
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Immutable dense matrix of exact rationals, row-major."""
+    """Immutable dense matrix of exact rationals, row-major; entries are Fractions or ints."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Fraction | int, ...], ...]
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -175,13 +176,13 @@ def monomials_at(point: Sequence[Fraction], exponents: Sequence[Sequence[int]]) 
     return numerators, denominator
 
 
-def _denominator(values: Iterable[Fraction]) -> int:
+def _denominator(values: Iterable[Fraction | int]) -> int:
     """The least common denominator of ``values``."""
     # reduce, not lcm(*...): star-arguments build a tuple per call
     return reduce(lcm, (v.denominator for v in values), 1)
 
 
-def _integer_row(values: Iterable[Fraction], den: int) -> list[int]:
+def _integer_row(values: Iterable[Fraction | int], den: int) -> list[int]:
     """``values`` times ``den``, a common denominator of theirs, as integers."""
     return [v.numerator * (den // v.denominator) for v in values]
 

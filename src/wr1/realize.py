@@ -9,22 +9,27 @@ does:
 1. per vertex i, find a nonnegative solution v of ``D_i v = w_i`` where
    column k of ``D_i`` is ``y_k - y_i`` (infeasibility here already rules
    out every realization);
-2. grow the support set of vertex i from the feasible tableau of step 1:
-   for each coordinate j not yet covered, ask that one tableau for a
-   feasible point with ``x_j > 0`` (phase 2 on ``x_j`` from the basis the
-   previous coordinate left, stopping at the first such point) and keep it
-   as a witness; a zero optimum proves that no solution reaches j.  The
-   union of the witness supports is the largest support any solution can
-   have, found with one phase 1 and one chained tableau per vertex;
+2. grow the support set of vertex i from the feasible tableau of step 1.
+   First one cone step, with no pivot: a small step from the phase-1 basis
+   along the sum of every nonbasic direction that keeps ``v >= 0`` gives a
+   witness positive on every positive basic and every such column, which at
+   a nondegenerate basis is the whole support.  Then, for each coordinate j
+   still not covered, ask that one tableau for a feasible point with
+   ``x_j > 0`` (phase 2 on ``x_j`` from the basis the previous coordinate
+   left, stopping at the first such point) and keep it as a witness; a zero
+   optimum proves that no solution reaches j.  The union of the witness
+   supports is the largest support any solution can have, found with one
+   phase 1 and one chained tableau per vertex;
 3. form the unit Kirchhoff matrix of the support pattern and accept exactly
    when its kernel is one-dimensional with full support, which makes the
    support graph strongly connected as a single component;
-4. average the witnesses per vertex (the step-1 point and each early-exit
-   witness of step 2) to obtain rate constants that are strictly positive on
-   the support and reproduce each net vector exactly.  One integer sum
-   over the lcm of the witnesses' denominators gives the rates, the
-   positivity check and the check that the rates reproduce the net vector,
-   so a returned rate map already proves that the dynamics match.
+4. average the witnesses per vertex (the step-1 point, the cone point and
+   each early-exit witness of step 2) to obtain rate constants that are
+   strictly positive on the support and reproduce each net vector exactly.
+   One integer sum over the lcm of the witnesses' denominators gives the
+   rates, the positivity check and the check that the rates reproduce the
+   net vector, so a returned rate map already proves that the dynamics
+   match.
 """
 
 from __future__ import annotations
@@ -110,12 +115,16 @@ class RealizationReport:
 
 
 def displacement_matrix(decomposition: SourceDecomposition, i: int) -> RationalMatrix:
-    """n-by-m matrix whose column k is vertex k minus vertex i (column i is zero)."""
+    """n-by-m matrix whose column k is vertex k minus vertex i (column i is zero).
+
+    The entries are the integer exponent differences themselves, as ``int``:
+    the simplex tableau reads them as integer rows with no conversion.
+    """
     if not 0 <= i < decomposition.m:
         raise IndexError(f"vertex {i} out of range")
     base = decomposition.vertices[i]
     rows = tuple(
-        tuple(Fraction(vertex[axis] - base[axis]) for vertex in decomposition.vertices)
+        tuple(vertex[axis] - base[axis] for vertex in decomposition.vertices)
         for axis in range(decomposition.n)
     )
     return RationalMatrix(decomposition.n, decomposition.m, rows)
@@ -124,8 +133,10 @@ def displacement_matrix(decomposition: SourceDecomposition, i: int) -> RationalM
 def saturate_support(decomposition: SourceDecomposition, i: int) -> SupportProfile | None:
     """Maximal support of vertex i, or None when its net vector is infeasible.
 
-    Columns are scanned in index order; the support set does not depend on
-    that order (it is the unique maximal support), only the witnesses do.
+    The witnesses are the phase-1 point, the cone point when it adds a
+    column, and one positive point per column both of them miss, scanned in
+    index order; the support set does not depend on that order (it is the
+    unique maximal support), only the witnesses do.
     """
     matrix, target = displacement_matrix(decomposition, i), decomposition.net_vector(i)
     tableau = lp_feasible(matrix, target)
@@ -134,6 +145,11 @@ def saturate_support(decomposition: SourceDecomposition, i: int) -> SupportProfi
     base = tableau.solution().with_entry(i, ONE)
     support = set(base.support())
     witnesses = [base]
+    cone = tableau.cone_point()
+    added = set(cone.support()) - support
+    if added:
+        witnesses.append(cone)
+        support |= added
     for j in range(decomposition.m):
         if j in support:
             continue

@@ -5,9 +5,14 @@ Only the forms this package needs are supported: equality constraints with
 artificials out of it.  The only phase-2 question is whether some feasible
 point has ``x_j > 0`` (``Tableau.positive_point``): Bland phase 2 on the
 objective ``x_j`` from the current basis, stopping at the first positive
-objective or unbounded ray, or proving ``x_j = 0`` at a zero optimum.  Support
-saturation chains one ``lp_feasible`` tableau through all columns of a vertex;
-``--check-oracle`` builds a fresh one for each column it checks.
+objective or unbounded ray, or proving ``x_j = 0`` at a zero optimum.  Before
+any such search, ``Tableau.cone_point`` reads one more feasible point off the
+phase-1 basis with no pivot: a small step along the sum of every feasible
+nonbasic direction, positive on every column those directions and the
+positive basics reach, so at a nondegenerate basis it is positive on every
+nonzero column.  Support saturation takes that point and then chains one
+``lp_feasible`` tableau through the columns it misses; ``--check-oracle``
+builds a fresh one for each column it checks.
 Anti-cycling uses Bland's rule throughout (smallest eligible entering index,
 ties in the ratio test broken by smallest basic index), which guarantees
 termination under exact arithmetic.
@@ -35,7 +40,7 @@ class Tableau:
     objective value.  Each basic column is ``det`` times a unit vector.
     """
 
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], nstruct: int):
+    def __init__(self, rows: list[list[Fraction | int]], rhs: list[Fraction], nstruct: int):
         self.nstruct = nstruct
         self.nrows = len(rows)
         self.width = self.nstruct + self.nrows
@@ -150,6 +155,46 @@ class Tableau:
                 return self._ray_point(entering)
             self._pivot(leaving, entering)
         return self.solution()
+
+    def cone_point(self) -> RationalVector:
+        """A feasible point one small step along every feasible direction of the current basis.
+
+        Nonbasic column j has the direction ``e_j - B^-1 a_j``, which stays
+        feasible exactly when every row whose rhs is zero has a coefficient
+        ``<= 0`` in column j; such a column is *unblocked*.  Zero columns are
+        skipped: their direction moves no basic.  With ``s_r`` the sum of the
+        unblocked entries of row r, the step is ``eps = min(1, rhs_r / (2 s_r))``
+        over the rows with ``rhs_r > 0`` and ``s_r > 0``, so every positive
+        basic stays at least half its value.  The point is ``eps`` on each
+        unblocked column and ``(rhs_r - eps s_r) / det`` on the basic of row
+        r: positive on every positive basic, every unblocked column and every
+        degenerate basic with ``s_r < 0``.  The directions lie in the kernel
+        of the constraint matrix, so the point satisfies it exactly.  No
+        pivot is taken; the tableau is left as it was.
+        """
+        rows, nstruct = self.rows, self.nstruct
+        basic = set(self.basis)
+        degenerate = [row for row in rows if row[-1] == 0]
+        unblocked = [
+            j
+            for j in range(nstruct)
+            if j not in basic and any(row[j] for row in rows) and all(row[j] <= 0 for row in degenerate)
+        ]
+        sums = [sum(row[j] for j in unblocked) for row in rows]
+        # eps = p / q; rhs_r / (2 s_r) < p / q, cross-multiplied over positive integers
+        p = q = 1
+        for row, s in zip(rows, sums):
+            if row[-1] > 0 and s > 0 and row[-1] * q < 2 * s * p:
+                p, q = row[-1], 2 * s
+        point = [ZERO] * nstruct
+        eps = Fraction(p, q)
+        for j in unblocked:
+            point[j] = eps
+        den = q * self.det
+        for row, s, b in zip(rows, sums, self.basis):
+            if b < nstruct:
+                point[b] = Fraction(q * row[-1] - p * s, den)
+        return RationalVector(tuple(point))
 
     def _ray_point(self, entering: int) -> RationalVector:
         """The basic solution moved one unit along the ray of a nonbasic column.

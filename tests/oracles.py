@@ -124,7 +124,7 @@ class FractionTableau:
     the basis and are never allowed to re-enter once they leave.
     """
 
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], nstruct: int):
+    def __init__(self, rows: list[list[Fraction | int]], rhs: list[Fraction], nstruct: int):
         self.nstruct = nstruct
         self.nrows = len(rows)
         self.rows: list[list[Fraction]] = []
@@ -133,7 +133,8 @@ class FractionTableau:
             if b < 0:
                 row = [-a for a in row]
                 b = -b
-            self.rows.append(list(row))
+            # displacement matrices hold ints, and int / int would be a float
+            self.rows.append([Fraction(a) for a in row])
             self.rhs.append(b)
         for i, row in enumerate(self.rows):
             row.extend(ONE if k == i else ZERO for k in range(self.nrows))

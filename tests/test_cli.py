@@ -148,10 +148,11 @@ def test_realize_check_oracle(capsys, cycle3_file):
 
 
 def test_realize_multi_witness_golden_bytes(capsys):
-    # rates are averages of up to three witnesses per vertex, so any change
-    # of pivot shows in the bytes; recorded with the warm-started, early-exit
-    # saturation (same edges as the earlier one-capped-LP-per-column record,
-    # six rates differ because the witnesses differ)
+    # rates are averages of the witnesses of each vertex, so any change of
+    # witness shows in the bytes; recorded with the cone step ahead of the
+    # warm-started, early-exit saturation (the same edges, supports and every
+    # other line as the record without it; 16 rates differ because the
+    # witnesses differ)
     code, out, _ = run_cli(capsys, "realize", str(GOLDEN / "multi_witness.txt"))
     assert code == 0
     assert out == (GOLDEN / "multi_witness.json").read_text()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wr1.realize
 from wr1.errors import InternalInvariantViolation
 from wr1.graphs import EGraph, net_reaction_vectors, structure_report
 from wr1.ingest import SourceDecomposition, decompose, parse_system
@@ -34,6 +35,7 @@ from .oracles import (
     reference_saturate_support,
     wr1_realizable_bruteforce,
 )
+from .test_simplex import check_cone_point
 
 F = Fraction
 
@@ -177,6 +179,39 @@ def test_permuting_vertices_permutes_supports(generator, seed, rng):
     perm = list(range(dec.m))
     rng.shuffle(perm)
     assert_supports_permute(dec, perm)
+
+
+def test_cone_point_on_seeded_sweep():
+    # D_i x = w_i exactly, x >= 0, positive on exactly the predicted columns
+    rng = Random(43)
+    blocked = raised = 0
+    for make in GENERATORS.values():
+        for _ in range(25):
+            dec = make(rng)
+            for i in range(dec.m):
+                counts = check_cone_point(displacement_matrix(dec, i), dec.net_vector(i))
+                blocked, raised = blocked + counts[0], raised + counts[1]
+    assert blocked > 0 and raised > 0
+
+
+def test_nondegenerate_vertices_need_no_positive_search(complete3_dec, monkeypatch):
+    # every phase-1 basis of x' = x + x^2 - x^3 is nondegenerate: the cone
+    # step alone reaches the complete support of each vertex
+    searched = []
+    search = wr1.realize.lp_maximize_component
+
+    def counting(matrix, rhs, j, *, start):
+        searched.append(j)
+        return search(matrix, rhs, j, start=start)
+
+    monkeypatch.setattr(wr1.realize, "lp_maximize_component", counting)
+    for i in range(complete3_dec.m):
+        tableau = wr1.realize.lp_feasible(displacement_matrix(complete3_dec, i), complete3_dec.net_vector(i))
+        assert all(row[-1] > 0 for row in tableau.rows)
+        profile = saturate_support(complete3_dec, i)
+        assert profile.support == (0, 1, 2)
+        check_profile(complete3_dec, profile)
+    assert searched == []
 
 
 def decision_and_supports(dec):

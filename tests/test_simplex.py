@@ -16,6 +16,7 @@ from .oracles import (
     reference_feasible_tableau,
     reference_lp_feasible,
     reference_positive_point,
+    solve,
 )
 
 F = Fraction
@@ -373,3 +374,80 @@ def test_fraction_free_tableau_keeps_one_positive_denominator(monkeypatch):
             if found is not None:
                 check_positive_point(matrix, rhs, j, found)
     assert negative_pivots > 0
+
+
+# ---------------------------------------------------------------------------
+# the cone step: one feasible point off the phase-1 basis, with no pivot
+
+
+def predicted_cone_support(matrix, rhs, basis):
+    """Columns the cone point must be positive on, and how many directions are blocked.
+
+    Restated with exact solves against the basic columns, not with the
+    tableau's rows: nonbasic nonzero column j moves the basics by the
+    solution d of ``B d = -a_j``; it is unblocked when d is >= 0 on every
+    basic at zero.  The point must be positive on the positive basics, the
+    unblocked columns, and the zero basics that the unblocked directions
+    raise in sum.
+    """
+    basic = [b for b in basis if b < matrix.cols]
+    columns = matrix.submatrix(range(matrix.rows), basic)
+    values = dict(zip(basic, solve(columns, rhs)))
+    at_zero = [b for b in basic if values[b] == 0]
+    moves, blocked = [], 0
+    for j in range(matrix.cols):
+        if j in values or matrix.column(j).is_zero():
+            continue
+        move = dict(zip(basic, solve(columns, matrix.column(j).scaled(-1))))
+        if all(move[b] >= 0 for b in at_zero):
+            moves.append((j, move))
+        else:
+            blocked += 1
+    raised = {b for b in at_zero if sum(move[b] for _, move in moves) > 0}
+    return {b for b in basic if values[b] > 0} | {j for j, _ in moves} | raised, blocked
+
+
+def check_cone_point(matrix, rhs):
+    """The cone point of a fresh feasible tableau, checked; (blocked directions, raised zero basics)."""
+    tableau = lp_feasible(matrix, rhs)
+    if tableau is None:
+        return 0, 0
+    before = (list(tableau.basis), [list(row) for row in tableau.rows], tableau.det)
+    point = tableau.cone_point()
+    assert (tableau.basis, tableau.rows, tableau.det) == before  # no pivot
+    check_feasible_point(matrix, rhs, point)
+    predicted, blocked = predicted_cone_support(matrix, rhs, tableau.basis)
+    assert set(point.support()) == predicted
+    basic = tableau.solution()
+    raised = sum(1 for b in tableau.basis if b < matrix.cols and basic[b] == 0 < point[b])
+    return blocked, raised
+
+
+def test_cone_point_on_seeded_sweep_with_redundant_rows():
+    # redundant rows leave artificials basic at zero; degenerate bases block
+    # some directions and let others raise a zero basic
+    rng = Random(5)
+    blocked = raised = 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 6)
+        entries = [
+            [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else F(0) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        a, b = rng.randrange(rows), rng.randrange(rows)
+        entries.append([F(2) * x - y for x, y in zip(entries[a], entries[b])])
+        matrix = RationalMatrix.from_rows(entries)
+        point = [F(rng.randint(0, 2)) if rng.random() < 0.3 else F(0) for _ in range(cols)]
+        counts = check_cone_point(matrix, matrix.matvec(RationalVector(tuple(point))))
+        blocked, raised = blocked + counts[0], raised + counts[1]
+    assert blocked > 0 and raised > 0
+
+
+def test_cone_point_raises_a_degenerate_basic():
+    # x0 + x1 + x2 = 2, x1 - x2 = 0: phase 1 ends with x1 basic at zero, and
+    # the direction of x2 raises it, so one step reaches the whole support
+    matrix = RationalMatrix.from_rows([[1, 1, 1], [0, 1, -1]])
+    rhs = RationalVector.of([2, 0])
+    tableau = lp_feasible(matrix, rhs)
+    assert tableau.basis == [0, 1] and tableau.solution() == RationalVector.of([2, 0, 0])
+    assert tableau.cone_point() == RationalVector.of([1, "1/2", "1/2"])
