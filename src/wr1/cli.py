@@ -5,7 +5,8 @@ passed, analysis completed), 1 on input errors, 2 when no realization exists
 or verification fails, 3 when an internal invariant fails (a bug).  JSON
 output is byte-deterministic: keys are sorted, edge lists are sorted, and
 rationals are rendered canonically as ``p/q`` with positive q (integers
-without the denominator).
+without the denominator).  Every JSON report goes through ``_dumps``, whose
+bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -41,8 +42,57 @@ def _source(path: str):
     return sys.stdin if path == "-" else path
 
 
+_escape = json.encoder.encode_basestring_ascii
+_EDGE_KEYS = {"from", "rate", "to"}
+
+
 def _dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for byte.
+
+    ``json.dumps`` with an indent runs CPython's pure-Python encoder; this
+    writer lays out the same bytes for the reports' shapes (dicts with string
+    keys, lists, str, int, bool and None) with fewer steps: keys sorted,
+    strings through the C ASCII escaper ``json.dumps`` uses, each flat list
+    of ints or strings joined at once, and each rated edge object written
+    from one template.
+    """
+    return _render(doc, "\n") + "\n"
+
+
+def _render(value, nl: str) -> str:
+    """``value`` laid out by ``_dumps``; ``nl`` is a newline and the indent of ``value``'s line."""
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        if all(type(v) is int for v in value):
+            items = map(int.__repr__, value)
+        elif all(type(v) is str for v in value):
+            items = map(_escape, value)
+        else:
+            items = [_render(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if value.keys() == _EDGE_KEYS:
+            source, rate, target = value["from"], value["rate"], value["to"]
+            if type(source) is int and type(target) is int and type(rate) is str:
+                return f'{{{nl}  "from": {source},{nl}  "rate": {_escape(rate)},{nl}  "to": {target}{nl}}}'
+        inner = nl + "  "
+        items = [f"{_escape(key)}: {_render(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} is not part of a report")
 
 
 def _rational(value: Fraction, where: str) -> str:

@@ -1,10 +1,11 @@
 """Exact rational vectors and matrices with elimination-based linear algebra.
 
 Every scalar is a ``fractions.Fraction``, or an ``int`` where a matrix is
-built from integers directly (the displacement matrices of ``realize``);
-floats are rejected at the boundary so that ranks, kernels, and support sets
-are decided exactly.  Matrices are dense and row-major, which is plenty for
-the problem sizes this package targets (tens of rows and columns).
+built from integers directly (the displacement and Kirchhoff matrices of
+``realize``); floats are rejected at the boundary so that ranks, kernels,
+and support sets are decided exactly.  Matrices are dense and row-major,
+which is plenty for the problem sizes this package targets (tens of rows
+and columns).
 
 Elimination itself (here and in the simplex tableau) is fraction-free
 Gauss-Jordan on integer rows: all rows of a matrix stand over one shared
@@ -14,7 +15,8 @@ other row ``a`` by ``(p * a - f * b) // det``, where ``b`` is the pivot row
 and ``f`` the row's entry in the pivot column, and then sets ``det = p``.
 The division is exact (Bareiss 1968; Edmonds 1967), so only ``int``
 arithmetic runs in the inner loops, no common factor is ever divided out,
-and an entry becomes a Fraction only when it is returned.
+and an entry becomes a Fraction only when ``rref`` returns it; the simplex
+returns its points as integer numerators over a denominator.
 """
 
 from __future__ import annotations
@@ -83,11 +85,6 @@ class RationalVector:
     def scaled(self, factor: RationalLike) -> "RationalVector":
         f = to_fraction(factor)
         return RationalVector(tuple(f * e for e in self.entries))
-
-    def with_entry(self, index: int, value: RationalLike) -> "RationalVector":
-        items = list(self.entries)
-        items[index] = to_fraction(value)
-        return RationalVector(tuple(items))
 
     def support(self) -> tuple[int, ...]:
         """Indices of the nonzero entries, ascending."""
@@ -177,14 +174,14 @@ def monomials_at(point: Sequence[Fraction], exponents: Sequence[Sequence[int]]) 
 
 
 def _denominator(values: Iterable[Fraction | int]) -> int:
-    """The least common denominator of ``values``."""
+    """The least common denominator of ``values``; an ``int`` adds nothing and is skipped."""
     # reduce, not lcm(*...): star-arguments build a tuple per call
-    return reduce(lcm, (v.denominator for v in values), 1)
+    return reduce(lcm, (v.denominator for v in values if type(v) is not int), 1)
 
 
 def _integer_row(values: Iterable[Fraction | int], den: int) -> list[int]:
     """``values`` times ``den``, a common denominator of theirs, as integers."""
-    return [v.numerator * (den // v.denominator) for v in values]
+    return [v * den if type(v) is int else v.numerator * (den // v.denominator) for v in values]
 
 
 def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:

@@ -30,6 +30,11 @@ does:
    rates, the positivity check and the check that the rates reproduce the
    net vector, so a returned rate map already proves that the dynamics
    match.
+
+Witnesses stay integers from the tableau to the rates: each is the pair of
+integer numerators the simplex returns and their positive denominator, its
+support is the set of nonzero numerators, and the only ``Fraction`` built
+from witnesses is each edge's rate.
 """
 
 from __future__ import annotations
@@ -37,14 +42,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import lcm
 from typing import Sequence
 
 from .errors import InternalInvariantViolation
 from .graphs import EGraph
 from .ingest import SourceDecomposition
-from .linalg import ONE, ZERO, RationalMatrix, RationalVector, kernel_basis
+from .linalg import RationalMatrix, kernel_basis
 # every LP question goes through these two names, which perfbench/tracing.py wraps in this module
 from .simplex import lp_feasible, lp_maximize_component
 
@@ -53,15 +57,17 @@ from .simplex import lp_feasible, lp_maximize_component
 class SupportProfile:
     """Maximal support of one vertex, with the witnesses that produced it.
 
-    Every witness v satisfies ``D_i v = w_i`` with ``v >= 0``; the support is
-    the union of the witness supports and always contains the vertex itself
-    (the first witness has its own coordinate forced to 1, which is harmless
-    because column i of ``D_i`` is zero).
+    Each witness is a pair ``(numerators, den)`` of integers with ``den > 0``
+    for the point ``v = numerators / den``, which satisfies ``D_i v = w_i``
+    with ``v >= 0``.  The support is the union of the witness supports (their
+    nonzero numerators) and always contains the vertex itself: the first
+    witness has its own coordinate forced to 1 (numerator ``den``), which is
+    harmless because column i of ``D_i`` is zero.
     """
 
     vertex: int
     support: tuple[int, ...]
-    witnesses: tuple[RationalVector, ...]
+    witnesses: tuple[tuple[tuple[int, ...], int], ...]
 
 
 class FailureKind(enum.Enum):
@@ -142,13 +148,14 @@ def saturate_support(decomposition: SourceDecomposition, i: int) -> SupportProfi
     tableau = lp_feasible(matrix, target)
     if tableau is None:
         return None
-    base = tableau.solution().with_entry(i, ONE)
-    support = set(base.support())
-    witnesses = [base]
-    cone = tableau.cone_point()
-    added = set(cone.support()) - support
+    base = list(tableau.solution())
+    base[i] = tableau.det
+    support = {k for k, e in enumerate(base) if e}
+    witnesses = [(tuple(base), tableau.det)]
+    cone, den = tableau.cone_point()
+    added = {k for k, e in enumerate(cone) if e} - support
     if added:
-        witnesses.append(cone)
+        witnesses.append((cone, den))
         support |= added
     for j in range(decomposition.m):
         if j in support:
@@ -156,8 +163,8 @@ def saturate_support(decomposition: SourceDecomposition, i: int) -> SupportProfi
         # one tableau for the whole vertex: each column starts where the last stopped
         witness = lp_maximize_component(matrix, target, j, start=tableau)
         if witness is not None:
-            witnesses.append(witness)
-            support.update(witness.support())
+            witnesses.append((witness, tableau.det))
+            support.update(k for k, e in enumerate(witness) if e)
     return SupportProfile(vertex=i, support=tuple(sorted(support)), witnesses=tuple(witnesses))
 
 
@@ -172,16 +179,16 @@ def build_kirchhoff(profiles: Sequence[SupportProfile]) -> RationalMatrix:
     ordered = sorted(profiles, key=lambda p: p.vertex)
     if [p.vertex for p in ordered] != list(range(m)):
         raise ValueError("need exactly one profile per vertex")
-    # written straight into rows, as displacement_matrix does: no per-entry conversion
-    grid = [[ZERO] * m for _ in range(m)]
+    # integer rows, as displacement_matrix writes them: no per-entry conversion
+    grid = [[0] * m for _ in range(m)]
     for profile in ordered:
         i = profile.vertex
         degree = 0
         for j in profile.support:
             if j != i:
-                grid[j][i] = ONE
+                grid[j][i] = 1
                 degree += 1
-        grid[i][i] = Fraction(-degree)
+        grid[i][i] = -degree
     return RationalMatrix(m, m, tuple(tuple(row) for row in grid))
 
 
@@ -205,17 +212,18 @@ def decide_wr1(kirchhoff: RationalMatrix) -> Failure | None:
 def average_witnesses(profile: SupportProfile) -> tuple[list[int], int]:
     """Equal-weight average of the stored witnesses, as ``(totals, scale)``.
 
-    Entry k of the average is ``totals[k] / scale``: the numerators are summed
-    in one pass over the lcm ``den`` of all the witnesses' denominators, and
-    ``scale`` is ``den`` times the witness count.
+    Entry k of the average is ``totals[k] / scale``: each witness's
+    numerators are scaled to the lcm ``den`` of the witnesses' denominators
+    and summed in one pass, and ``scale`` is ``den`` times the witness count.
     """
     witnesses = profile.witnesses
-    den = reduce(lcm, {e.denominator for witness in witnesses for e in witness.entries}, 1)
-    totals = [0] * witnesses[0].dim
-    for witness in witnesses:
-        for k, e in enumerate(witness.entries):
+    den = lcm(*{d for _, d in witnesses})
+    totals = [0] * len(witnesses[0][0])
+    for numerators, d in witnesses:
+        factor = den // d
+        for k, e in enumerate(numerators):
             if e:
-                totals[k] += e.numerator * (den // e.denominator)
+                totals[k] += e * factor
     return totals, den * len(witnesses)
 
 
@@ -249,7 +257,9 @@ def extract_rates(
             other = decomposition.vertices[j]
             for axis in range(decomposition.n):
                 produced[axis] += total * (other[axis] - base[axis])
-        if any(got != entry * scale for got, entry in zip(produced, decomposition.net_vector(i))):
+        # produced == scale * w_i, cross-multiplied by each entry's denominator: no Fraction built
+        net = decomposition.net_vector(i)
+        if any(got * e.denominator != e.numerator * scale for got, e in zip(produced, net)):
             raise InternalInvariantViolation(
                 f"rates at vertex {i} do not reproduce its net vector"
             )

@@ -18,7 +18,10 @@ ties in the ratio test broken by smallest basic index), which guarantees
 termination under exact arithmetic.
 
 The tableau is fraction-free (see ``linalg``): its integer rows share one
-positive denominator, so every sign test reads the true sign.
+positive denominator, so every sign test reads the true sign.  Points leave
+it the same way, as integer numerators over a positive denominator: the
+basic solution, a positive point and a ray point over ``det``, the cone
+point over ``q * det``.  No ``Fraction`` is built after the tableau's rows.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalInvariantViolation
-from .linalg import ONE, ZERO, RationalMatrix, RationalVector, _denominator, _integer_row
+from .linalg import RationalMatrix, RationalVector, _denominator, _integer_row
 
 
 class Tableau:
@@ -44,13 +47,16 @@ class Tableau:
         self.nstruct = nstruct
         self.nrows = len(rows)
         self.width = self.nstruct + self.nrows
-        signed = [[*row, b] if b >= 0 else [-a for a in (*row, b)] for row, b in zip(rows, rhs)]
+        full = [[*row, b] for row, b in zip(rows, rhs)]
         # one scale for all rows, so phase 1 still minimizes the plain sum of the artificials
-        den = _denominator(a for row in signed for a in row)
-        self.rows = [
-            [*nums[:-1], *(int(k == i) for k in range(self.nrows)), nums[-1]]
-            for i, nums in enumerate(_integer_row(row, den) for row in signed)
-        ]
+        den = _denominator(a for row in full for a in row)
+        self.rows = []
+        for i, row in enumerate(full):
+            nums = _integer_row(row, den)
+            if nums[-1] < 0:
+                # the artificial basis starts feasible only at a nonnegative rhs
+                nums = [-a for a in nums]
+            self.rows.append([*nums[:-1], *(int(k == i) for k in range(self.nrows)), nums[-1]])
         self.det = 1
         self.basis = list(range(self.nstruct, self.width))
         self.costs: list[int] = [0] * (self.width + 1)
@@ -127,16 +133,18 @@ class Tableau:
                     self._pivot(i, j)
                     break
 
-    def positive_point(self, j: int) -> RationalVector | None:
+    def positive_point(self, j: int) -> tuple[int, ...] | None:
         """A feasible point with ``x_j > 0``, or None when ``x_j = 0`` on the whole feasible set.
 
-        Runs Bland phase 2 on the objective ``x_j`` from the current feasible
-        basis and stops at the first basis whose objective is positive, which
-        is the returned point.  If the ratio test finds no leaving row, the
-        entering column's ray raises ``x_j`` without bound, and the point one
-        unit along that ray is returned.  Reaching the optimum at zero proves
-        that ``x_j = 0`` on the whole feasible set.  The tableau is left at
-        the basis reached, so the next call starts from a feasible basis.
+        The point is returned as its numerators over ``det``, read after the
+        call, since the search pivots.  Runs Bland phase 2 on the objective
+        ``x_j`` from the current feasible basis and stops at the first basis
+        whose objective is positive, which is the returned point.  If the
+        ratio test finds no leaving row, the entering column's ray raises
+        ``x_j`` without bound, and the point one unit along that ray is
+        returned.  Reaching the optimum at zero proves that ``x_j = 0`` on the
+        whole feasible set.  The tableau is left at the basis reached, so the
+        next call starts from a feasible basis.
         """
         if not 0 <= j < self.nstruct:
             raise IndexError(f"column {j} out of range")
@@ -156,7 +164,7 @@ class Tableau:
             self._pivot(leaving, entering)
         return self.solution()
 
-    def cone_point(self) -> RationalVector:
+    def cone_point(self) -> tuple[tuple[int, ...], int]:
         """A feasible point one small step along every feasible direction of the current basis.
 
         Nonbasic column j has the direction ``e_j - B^-1 a_j``, which stays
@@ -171,6 +179,9 @@ class Tableau:
         degenerate basic with ``s_r < 0``.  The directions lie in the kernel
         of the constraint matrix, so the point satisfies it exactly.  No
         pivot is taken; the tableau is left as it was.
+
+        Returned as ``(numerators, q * det)`` with ``eps = p / q``: ``p * det``
+        on each unblocked column and ``q * rhs_r - p * s_r`` on a basic.
         """
         rows, nstruct = self.rows, self.nstruct
         basic = set(self.basis)
@@ -186,36 +197,35 @@ class Tableau:
         for row, s in zip(rows, sums):
             if row[-1] > 0 and s > 0 and row[-1] * q < 2 * s * p:
                 p, q = row[-1], 2 * s
-        point = [ZERO] * nstruct
-        eps = Fraction(p, q)
+        point = [0] * nstruct
+        step = p * self.det
         for j in unblocked:
-            point[j] = eps
-        den = q * self.det
+            point[j] = step
         for row, s, b in zip(rows, sums, self.basis):
             if b < nstruct:
-                point[b] = Fraction(q * row[-1] - p * s, den)
-        return RationalVector(tuple(point))
+                point[b] = q * row[-1] - p * s
+        return tuple(point), q * self.det
 
-    def _ray_point(self, entering: int) -> RationalVector:
-        """The basic solution moved one unit along the ray of a nonbasic column.
+    def _ray_point(self, entering: int) -> tuple[int, ...]:
+        """Numerators over ``det`` of the basic solution moved one unit along a nonbasic column's ray.
 
         No coefficient of ``entering`` is positive, so raising it by one only
         raises the basic variables: the point stays feasible.
         """
         point = list(self.solution())
-        point[entering] += ONE
-        for i, basic in enumerate(self.basis):
+        point[entering] += self.det
+        for row, basic in zip(self.rows, self.basis):
             if basic < self.nstruct:
-                point[basic] -= Fraction(self.rows[i][entering], self.det)
-        return RationalVector(tuple(point))
+                point[basic] -= row[entering]
+        return tuple(point)
 
-    def solution(self) -> RationalVector:
-        """The basic solution at the current basis."""
-        point = [ZERO] * self.nstruct
-        for i, basic in enumerate(self.basis):
+    def solution(self) -> tuple[int, ...]:
+        """Numerators over ``det`` of the basic solution at the current basis."""
+        point = [0] * self.nstruct
+        for row, basic in zip(self.rows, self.basis):
             if basic < self.nstruct:
-                point[basic] = Fraction(self.rows[i][-1], self.det)
-        return RationalVector(tuple(point))
+                point[basic] = row[-1]
+        return tuple(point)
 
 
 def lp_feasible(matrix: RationalMatrix, rhs: RationalVector) -> Tableau | None:
@@ -223,9 +233,9 @@ def lp_feasible(matrix: RationalMatrix, rhs: RationalVector) -> Tableau | None:
 
     Infeasibility is an ordinary outcome, not an error.  The tableau is at
     the basis phase 1 ended in, with the artificials driven out by degenerate
-    pivots, so ``.solution()`` is a basic feasible solution (a vertex of the
-    constraint polyhedron) and the tableau can be passed as ``start`` to
-    ``lp_maximize_component`` for one column after another.
+    pivots, so ``.solution()`` over ``.det`` is a basic feasible solution (a
+    vertex of the constraint polyhedron), and the tableau can be passed as
+    ``start`` to ``lp_maximize_component`` for one column after another.
     """
     if matrix.rows != rhs.dim:
         raise ValueError("dimension mismatch")
@@ -238,10 +248,12 @@ def lp_feasible(matrix: RationalMatrix, rhs: RationalVector) -> Tableau | None:
 
 def lp_maximize_component(
     matrix: RationalMatrix, rhs: RationalVector, j: int, *, start: Tableau
-) -> RationalVector | None:
+) -> tuple[int, ...] | None:
     """A feasible point of ``matrix @ x = rhs, x >= 0`` with ``x_j > 0``, or None.
 
-    None means ``x_j = 0`` on the whole feasible set.  Despite its name this
+    The point is its integer numerators over ``start.det`` as the search
+    leaves it, so entry ``j`` is positive exactly when ``x_j`` is.  None
+    means ``x_j = 0`` on the whole feasible set.  Despite its name this
     maximizes nothing: the point is the first one ``Tableau.positive_point``
     reaches with ``x_j > 0``.  The name, with ``j`` as the third positional
     argument, is pinned by the benchmark: ``perfbench/tracing.py`` wraps this

@@ -9,7 +9,7 @@ comparison on separate code paths.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from random import Random
 
 from wr1.errors import MissingRatesError
@@ -19,6 +19,22 @@ from wr1.linalg import RationalMatrix, RationalVector, rank, rref, to_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# the engine's integer points, ``(numerators, den)``, and rational vectors
+
+
+def as_vector(numerators, den: int) -> RationalVector:
+    """The point ``numerators / den`` as Fractions."""
+    return RationalVector(tuple(Fraction(e, den) for e in numerators))
+
+
+def as_witness(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as a ``SupportProfile`` witness: numerators over their least common denominator."""
+    entries = [to_fraction(v) for v in values]
+    den = lcm(*(e.denominator for e in entries))
+    return tuple(e.numerator * (den // e.denominator) for e in entries), den
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +354,7 @@ def reference_saturate_support(dec: SourceDecomposition, i: int):
     base = reference_lp_feasible(matrix, target)
     if base is None:
         return None
-    base = base.with_entry(i, ONE)
+    base = RationalVector(tuple(ONE if k == i else e for k, e in enumerate(base)))
     support = set(base.support())
     witnesses = [base]
     for j in range(dec.m):
@@ -503,7 +519,7 @@ def decomposition_of_dynamics(graph: EGraph) -> SourceDecomposition:
 
 def reference_average_witnesses(profile) -> RationalVector:
     """Equal-weight average of a SupportProfile's witnesses, one Fraction entry sum at a time."""
-    total = [sum(entries, ZERO) for entries in zip(*profile.witnesses)]
+    total = [sum(entries, ZERO) for entries in zip(*(as_vector(*w) for w in profile.witnesses))]
     return RationalVector(tuple(total)).scaled(Fraction(1, len(profile.witnesses)))
 
 

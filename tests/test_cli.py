@@ -6,10 +6,24 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wr1.cli import graph_from_json, graph_to_json, main, monomial_label, render_dot
+from wr1.cli import (
+    _dumps,
+    graph_from_json,
+    graph_to_json,
+    main,
+    monomial_label,
+    realization_json,
+    render_dot,
+    structure_json,
+)
 from wr1.errors import InternalInvariantViolation, SchemaError
 from wr1.graphs import EGraph
+from wr1.ingest import SourceDecomposition, decompose, parse_system
+from wr1.linalg import RationalMatrix
+from wr1.realize import realize_wr1
 
 from .conftest import CYCLE3_TEXT, CYCLE4_TEXT, UNREALIZABLE_TEXT, two_terminal_graph
 
@@ -354,6 +368,84 @@ def test_verify_flags_multi_class_graph(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["checks"]["weakly_reversible"] is False
     assert doc["checks"]["single_linkage_class"] is False
+
+
+def test_non_ascii_species_names_are_escaped(capsys, tmp_path):
+    # JSON reports are ASCII: a name outside it is written as \u escapes,
+    # and verify reads the names back to match the system's
+    system = tmp_path / "system.txt"
+    system.write_text("species é, ω2; é' = 1 - é*ω2; ω2' = 1 - é*ω2;", encoding="utf-8")
+    code, out, err = run_cli(capsys, "realize", str(system))
+    assert (code, err) == (0, "")
+    assert out.isascii()
+    assert '"\\u00e9"' in out and '"\\u03c92"' in out
+    assert json.loads(out)["species"] == json.loads(out)["graph"]["species"] == ["é", "ω2"]
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(json.loads(out)["graph"]))
+    code, out, _ = run_cli(capsys, "verify", "--graph", str(graph), "--system", str(system))
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# the report writer: json.dumps(indent=2, sort_keys=True) byte for byte
+
+
+def reference_dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_writer_reproduces_the_golden_report():
+    text = (GOLDEN / "multi_witness.json").read_text()
+    doc = json.loads(text)
+    assert _dumps(doc) == reference_dumps(doc) == text
+
+
+FAILURES = {
+    "infeasible-vertex": lambda: decompose(parse_system(UNREALIZABLE_TEXT)),
+    "kernel-dimension": lambda: decompose(parse_system("species x, y; x' = x - x^2; y' = y - y^2;")),
+    "kernel-support": lambda: decompose(
+        parse_system("species x, y; x' = -3*x^2*y^2; y' = 3*x*y - 3*x*y^2 - 3*x^2*y^2;")
+    ),
+    "single-vertex": lambda: SourceDecomposition(("x",), ((2,),), RationalMatrix.from_rows([[0]])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAILURES))
+def test_writer_matches_json_on_failure_reports(kind):
+    dec = FAILURES[kind]()
+    doc = realization_json(dec, realize_wr1(dec))
+    assert doc["failure"]["kind"] == kind
+    assert _dumps(doc) == reference_dumps(doc)
+
+
+def test_writer_matches_json_on_verify_and_analyze_reports(capsys, tmp_path):
+    graph_path, system_path = realize_to_graph_file(capsys, tmp_path, CYCLE3_TEXT)
+    _, out, _ = run_cli(capsys, "verify", "--graph", graph_path, "--system", system_path)
+    assert out == reference_dumps(json.loads(out))
+    doc = structure_json(two_terminal_graph())
+    assert "kernel_check" in doc
+    assert _dumps(doc) == reference_dumps(doc)
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text())
+_KEYS = st.one_of(st.text(), st.sampled_from(["from", "rate", "to", "é", "\x00", "\u2028"]))
+
+
+def _documents(children):
+    return st.one_of(
+        st.lists(children),
+        st.dictionaries(_KEYS, children),
+        # edge-shaped objects, with and without the types of a rated edge
+        st.fixed_dictionaries({"from": st.integers(), "rate": st.text(), "to": st.integers()}),
+        st.fixed_dictionaries({"from": children, "rate": children, "to": children}),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(_SCALARS, _documents, max_leaves=20))
+def test_writer_matches_json_on_fuzzed_documents(doc):
+    # empty containers, flat and mixed lists, non-ASCII and control characters
+    assert _dumps(doc) == reference_dumps(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ def test_vector_basics():
     assert v.support() == (0, 2)
     assert not v.is_zero()
     assert RationalVector(tuple(a + b for a, b in zip(v, v.scaled(-1)))).is_zero()
-    assert v.with_entry(1, 7)[1] == 7
     assert sum(a * b for a, b in zip(v, RationalVector.of([3, 1, 3]))) == 3 - 2
 
 

@@ -26,8 +26,11 @@ from wr1.realize import (
 )
 
 from .oracles import (
+    as_vector,
+    as_witness,
     decomposition_of_dynamics,
     net_vectors_direct,
+    oracle_positive_component,
     random_decomposition,
     random_rated_digraph,
     random_wr1_graph,
@@ -41,14 +44,19 @@ F = Fraction
 
 
 def check_profile(dec, profile):
+    """Each witness ``(numerators, den)`` solves ``D_i numerators = den w_i`` in nonnegative integers.
+
+    The union of the witnesses' supports, their nonzero numerators, is the
+    profile's support.
+    """
     matrix = displacement_matrix(dec, profile.vertex)
     target = dec.net_vector(profile.vertex)
     assert profile.vertex in profile.support
     union = set()
-    for witness in profile.witnesses:
-        assert all(e >= 0 for e in witness)
-        assert matrix.matvec(witness) == target
-        union |= set(witness.support())
+    for numerators, den in profile.witnesses:
+        assert den > 0 and all(e >= 0 for e in numerators)
+        assert [sum(a * e for a, e in zip(row, numerators)) for row in matrix.entries] == [den * t for t in target]
+        union |= {k for k, e in enumerate(numerators) if e}
     assert tuple(sorted(union)) == profile.support
 
 
@@ -87,7 +95,8 @@ def test_saturate_support_no_growth(cycle3_dec):
     profile = saturate_support(cycle3_dec, 0)
     assert profile.support == (0, 1)
     assert len(profile.witnesses) == 1
-    assert profile.witnesses[0][0] == 1  # own coordinate forced to one
+    numerators, den = profile.witnesses[0]
+    assert numerators[0] == den  # own coordinate forced to one
     check_profile(cycle3_dec, profile)
 
 
@@ -149,7 +158,7 @@ def assert_supports_match_reference(dec):
             continue
         support, witnesses = reference
         assert profile.support == support
-        assert profile.witnesses[0] == witnesses[0]  # the phase-1 point is unchanged
+        assert as_vector(*profile.witnesses[0]) == witnesses[0]  # the phase-1 point is unchanged
         check_profile(dec, profile)
     return infeasible
 
@@ -179,6 +188,31 @@ def test_permuting_vertices_permutes_supports(generator, seed, rng):
     perm = list(range(dec.m))
     rng.shuffle(perm)
     assert_supports_permute(dec, perm)
+
+
+def test_integer_witnesses_on_seeded_sweep():
+    # every stored witness is an exact nonnegative integer solution over a
+    # positive denominator, the supports add up to the maximal support the
+    # enumeration oracle finds, and the average over the lcm of the
+    # denominators solves the same system
+    rng = Random(47)
+    multi_denominator = 0
+    for make in GENERATORS.values():
+        for _ in range(10):
+            dec = make(rng)
+            for i in range(dec.m):
+                profile = saturate_support(dec, i)
+                if profile is None:
+                    continue
+                check_profile(dec, profile)
+                matrix, target = displacement_matrix(dec, i), dec.net_vector(i)
+                reachable = tuple(j for j in range(dec.m) if oracle_positive_component(matrix, target, j))
+                assert profile.support == reachable
+                totals, scale = average_witnesses(profile)
+                assert [sum(a * t for a, t in zip(row, totals)) for row in matrix.entries] == [scale * t for t in target]
+                assert all(totals[j] > 0 for j in profile.support)
+                multi_denominator += len({den for _, den in profile.witnesses}) > 1
+    assert multi_denominator > 0
 
 
 def test_cone_point_on_seeded_sweep():
@@ -299,12 +333,12 @@ def test_build_kirchhoff_complete(complete3_dec):
 
 
 def test_build_kirchhoff_single_vertex_is_zero():
-    profile = SupportProfile(vertex=0, support=(0,), witnesses=(RationalVector.of([1]),))
+    profile = SupportProfile(vertex=0, support=(0,), witnesses=(as_witness([1]),))
     assert build_kirchhoff([profile]) == RationalMatrix.from_rows([[0]])
 
 
 def test_build_kirchhoff_needs_every_vertex():
-    profile = SupportProfile(vertex=1, support=(1,), witnesses=(RationalVector.of([0, 1]),))
+    profile = SupportProfile(vertex=1, support=(1,), witnesses=(as_witness([0, 1]),))
     with pytest.raises(ValueError):
         build_kirchhoff([profile])
 
@@ -317,10 +351,10 @@ def test_decide_wr1_accepts_cycle(cycle3_dec):
 def test_decide_wr1_rejects_two_disjoint_cycles():
     # supports pair {0,1} and {2,3} into two reversible blocks
     profiles = [
-        SupportProfile(0, (0, 1), (RationalVector.of([1, 1, 0, 0]),)),
-        SupportProfile(1, (0, 1), (RationalVector.of([1, 1, 0, 0]),)),
-        SupportProfile(2, (2, 3), (RationalVector.of([0, 0, 1, 1]),)),
-        SupportProfile(3, (2, 3), (RationalVector.of([0, 0, 1, 1]),)),
+        SupportProfile(0, (0, 1), (as_witness([1, 1, 0, 0]),)),
+        SupportProfile(1, (0, 1), (as_witness([1, 1, 0, 0]),)),
+        SupportProfile(2, (2, 3), (as_witness([0, 0, 1, 1]),)),
+        SupportProfile(3, (2, 3), (as_witness([0, 0, 1, 1]),)),
     ]
     failure = decide_wr1(build_kirchhoff(profiles))
     assert failure.kind is FailureKind.KERNEL_DIMENSION
@@ -330,8 +364,8 @@ def test_decide_wr1_rejects_two_disjoint_cycles():
 def test_decide_wr1_rejects_sink_vertex():
     # vertex 0 keeps all mass on itself; its kernel line misses vertex 1
     profiles = [
-        SupportProfile(0, (0,), (RationalVector.of([1, 0]),)),
-        SupportProfile(1, (0, 1), (RationalVector.of([1, 1]),)),
+        SupportProfile(0, (0,), (as_witness([1, 0]),)),
+        SupportProfile(1, (0, 1), (as_witness([1, 1]),)),
     ]
     failure = decide_wr1(build_kirchhoff(profiles))
     assert failure.kind is FailureKind.KERNEL_SUPPORT
@@ -363,7 +397,7 @@ def test_extract_rates_averages_witnesses():
     profile = SupportProfile(
         vertex=0,
         support=(0, 1, 2),
-        witnesses=(RationalVector.of([1, 1, 0]), RationalVector.of([1, 0, "1/2"])),
+        witnesses=(as_witness([1, 1, 0]), as_witness([1, 0, "1/2"])),
     )
     assert averaged(profile) == reference_average_witnesses(profile) == RationalVector.of([1, "1/2", "1/4"])
     rates = extract_rates(dec, [profile] + _padding_profiles(dec))
@@ -376,11 +410,22 @@ def test_extract_rates_averages_witnesses():
 _ENTRIES = st.sampled_from([F(0), F(7), F(1, 6), F(2, 15), F(3, 4), F(5, 9), F(11, 10)])
 
 
+def _unreduced(values, factor):
+    """``values`` as a witness whose numerators and denominator share ``factor``, as the tableau's may."""
+    numerators, den = as_witness(values)
+    return tuple(e * factor for e in numerators), den * factor
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda m: st.lists(st.lists(_ENTRIES, min_size=m, max_size=m), min_size=1, max_size=6)))
+@given(
+    st.integers(1, 5).flatmap(
+        lambda m: st.lists(st.tuples(st.lists(_ENTRIES, min_size=m, max_size=m), st.integers(1, 4)), min_size=1, max_size=6)
+    )
+)
 def test_average_witnesses_matches_fraction_sum(witnesses):
-    # mixed denominators make the common denominator differ from every single one
-    profile = SupportProfile(0, (0,), tuple(RationalVector(tuple(w)) for w in witnesses))
+    # mixed denominators make the common denominator differ from every single
+    # one, and common factors leave some witnesses unreduced
+    profile = SupportProfile(0, (0,), tuple(_unreduced(w, factor) for w, factor in witnesses))
     assert averaged(profile) == reference_average_witnesses(profile)
 
 
@@ -396,8 +441,8 @@ def test_extract_rates_skips_self_only_support():
         net_vectors=RationalMatrix.from_rows([[1, 0]]),
     )
     profiles = [
-        SupportProfile(0, (0, 1), (RationalVector.of([1, 1]),)),
-        SupportProfile(1, (1,), (RationalVector.of([0, 1]),)),
+        SupportProfile(0, (0, 1), (as_witness([1, 1]),)),
+        SupportProfile(1, (1,), (as_witness([0, 1]),)),
     ]
     assert extract_rates(dec, profiles) == {(0, 1): F(1)}
 
@@ -409,8 +454,8 @@ def test_extract_rates_detects_bad_reconstruction():
         net_vectors=RationalMatrix.from_rows([[2, -1]]),
     )
     wrong = [
-        SupportProfile(0, (0, 1), (RationalVector.of([1, 1]),)),  # gives 1, not 2
-        SupportProfile(1, (0, 1), (RationalVector.of([1, 1]),)),
+        SupportProfile(0, (0, 1), (as_witness([1, 1]),)),  # gives 1, not 2
+        SupportProfile(1, (0, 1), (as_witness([1, 1]),)),
     ]
     with pytest.raises(InternalInvariantViolation):
         extract_rates(dec, wrong)
@@ -424,9 +469,9 @@ def test_extract_rates_detects_bad_reconstruction():
             net_vectors=RationalMatrix.from_rows([[net, -1, -1]]),
         )
         profiles = [
-            SupportProfile(0, (0, 1, 2), (RationalVector.of([1, "1/2", "1/3"]),)),
-            SupportProfile(1, (0, 1), (RationalVector.of([1, 1, 0]),)),
-            SupportProfile(2, (0, 2), (RationalVector.of(["1/2", 0, 1]),)),
+            SupportProfile(0, (0, 1, 2), (as_witness([1, "1/2", "1/3"]),)),
+            SupportProfile(1, (0, 1), (as_witness([1, 1, 0]),)),
+            SupportProfile(2, (0, 2), (as_witness(["1/2", 0, 1]),)),
         ]
         return dec, profiles
 

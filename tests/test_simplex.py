@@ -10,6 +10,7 @@ from wr1.realize import displacement_matrix
 from wr1.simplex import Tableau, lp_feasible, lp_maximize_component
 
 from .oracles import (
+    as_vector,
     oracle_feasible,
     oracle_positive_component,
     random_decomposition,
@@ -41,17 +42,34 @@ def check_positive_answer(matrix, rhs, j, point):
         assert point is None
 
 
+def basic_point(tableau):
+    """The tableau's basic solution, its numerators over ``det``, as Fractions."""
+    return as_vector(tableau.solution(), tableau.det)
+
+
+def positive(tableau, j):
+    """``tableau.positive_point(j)`` as Fractions over the det the search leaves; None stays None."""
+    numerators = tableau.positive_point(j)
+    return None if numerators is None else as_vector(numerators, tableau.det)
+
+
+def search(matrix, rhs, j, tableau):
+    """``lp_maximize_component`` from ``tableau``, as Fractions over the det it leaves; None stays None."""
+    numerators = lp_maximize_component(matrix, rhs, j, start=tableau)
+    return None if numerators is None else as_vector(numerators, tableau.det)
+
+
 def fresh_search(matrix, rhs, j):
     """The search on a fresh lp_feasible tableau, as --check-oracle runs it; None when infeasible."""
     tableau = lp_feasible(matrix, rhs)
-    return None if tableau is None else lp_maximize_component(matrix, rhs, j, start=tableau)
+    return None if tableau is None else search(matrix, rhs, j, tableau)
 
 
 def test_feasible_simple_cone():
     # columns are the displacements out of the first of three vertices
     matrix = RationalMatrix.from_rows([[0, 1, 1], [0, 0, 1]])
     rhs = RationalVector.of([1, 0])
-    point = lp_feasible(matrix, rhs).solution()
+    point = basic_point(lp_feasible(matrix, rhs))
     check_feasible_point(matrix, rhs, point)
     assert point[2] == 0  # third coordinate is pinned by the second row
 
@@ -64,13 +82,13 @@ def test_infeasible_negative_direction():
 
 def test_zero_rhs_gives_zero_vertex():
     matrix = RationalMatrix.from_rows([[1, -2, 3], [0, 1, 1]])
-    point = lp_feasible(matrix, RationalVector.of([0, 0])).solution()
+    point = basic_point(lp_feasible(matrix, RationalVector.of([0, 0])))
     assert point == RationalVector.of([0, 0, 0])
 
 
 def test_feasible_with_zero_rows_and_columns():
     matrix = RationalMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
-    assert lp_feasible(matrix, RationalVector.of([0, 0])).solution() == RationalVector.of([0, 0, 0])
+    assert basic_point(lp_feasible(matrix, RationalVector.of([0, 0]))) == RationalVector.of([0, 0, 0])
     assert lp_feasible(matrix, RationalVector.of([1, 0])) is None
 
 
@@ -79,7 +97,7 @@ def test_maximize_reaches_positive_mass():
     # phase 1 ends at x1 = 1 and x2 enters at 1/2
     matrix = RationalMatrix.from_rows([[0, 1, 2]])
     rhs = RationalVector.of([1])
-    point = lp_maximize_component(matrix, rhs, 2, start=lp_feasible(matrix, rhs))
+    point = search(matrix, rhs, 2, lp_feasible(matrix, rhs))
     check_positive_answer(matrix, rhs, 2, point)
     assert point == RationalVector.of([0, 0, F(1, 2)])
 
@@ -89,7 +107,7 @@ def test_maximize_respects_unit_cap():
     # the search stops at the first positive point and maximizes nothing
     matrix = RationalMatrix.from_rows([[0, 1, 2]])
     rhs = RationalVector.of([1])
-    point = lp_maximize_component(matrix, rhs, 1, start=lp_feasible(matrix, rhs))
+    point = search(matrix, rhs, 1, lp_feasible(matrix, rhs))
     check_positive_answer(matrix, rhs, 1, point)
     assert point == RationalVector.of([0, 1, 0])
 
@@ -153,7 +171,7 @@ def test_feasibility_matches_enumeration_oracle(instance):
         assert tableau is None
     else:
         assert tableau is not None
-        check_feasible_point(matrix, rhs, tableau.solution())
+        check_feasible_point(matrix, rhs, basic_point(tableau))
 
 
 @settings(max_examples=120, deadline=None)
@@ -205,11 +223,11 @@ def assert_same_as_reference(matrix, rhs):
         assert reference_lp_feasible(matrix, rhs) is None
     else:
         # the drive-out pivots are degenerate: the phase-1 vertex is unchanged
-        assert chained.solution() == reference_lp_feasible(matrix, rhs)
+        assert basic_point(chained) == reference_lp_feasible(matrix, rhs)
     for j in range(matrix.cols):
         assert fresh_search(matrix, rhs, j) == reference_positive_point(matrix, rhs, j)
         if chained is not None:
-            assert lp_maximize_component(matrix, rhs, j, start=chained) == reference_chained.positive_point(j)
+            assert search(matrix, rhs, j, chained) == reference_chained.positive_point(j)
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,7 +268,7 @@ def test_positive_point_returns_current_basis_when_already_positive():
     matrix = RationalMatrix.from_rows([[1, 1]])
     rhs = RationalVector.of([1])
     tableau = lp_feasible(matrix, rhs)
-    assert tableau.positive_point(0) == RationalVector.of([1, 0])
+    assert positive(tableau, 0) == RationalVector.of([1, 0])
 
 
 def test_positive_point_stops_at_first_positive_basis():
@@ -259,11 +277,11 @@ def test_positive_point_stops_at_first_positive_basis():
     matrix = RationalMatrix.from_rows([[1, 0, 1, -1], [0, 1, 0, 1]])
     rhs = RationalVector.of([1, 1])
     tableau = lp_feasible(matrix, rhs)
-    assert tableau.solution() == RationalVector.of([1, 1, 0, 0])
-    point = tableau.positive_point(2)
+    assert basic_point(tableau) == RationalVector.of([1, 1, 0, 0])
+    point = positive(tableau, 2)
     assert point == RationalVector.of([0, 1, 1, 0])
     check_positive_point(matrix, rhs, 2, point)
-    assert lp_maximize_component(matrix, rhs, 2, start=lp_feasible(matrix, rhs)) == point
+    assert search(matrix, rhs, 2, lp_feasible(matrix, rhs)) == point
 
 
 def test_positive_point_follows_an_unbounded_ray():
@@ -271,8 +289,8 @@ def test_positive_point_follows_an_unbounded_ray():
     matrix = RationalMatrix.from_rows([[1, -1]])
     rhs = RationalVector.of([0])
     tableau = lp_feasible(matrix, rhs)
-    assert tableau.solution() == RationalVector.of([0, 0])
-    point = tableau.positive_point(0)
+    assert basic_point(tableau) == RationalVector.of([0, 0])
+    point = positive(tableau, 0)
     assert point == RationalVector.of([1, 1])
     check_positive_point(matrix, rhs, 0, point)
 
@@ -283,7 +301,7 @@ def test_positive_point_zero_optimum_is_none():
     tableau = lp_feasible(matrix, rhs)
     assert tableau.positive_point(2) is None
     # the tableau stays at a feasible basis for the next column
-    check_positive_point(matrix, rhs, 1, tableau.positive_point(1))
+    check_positive_point(matrix, rhs, 1, positive(tableau, 1))
 
 
 def test_warm_start_infeasible_and_index_checks():
@@ -308,7 +326,7 @@ def assert_positive_points_match_oracle(matrix, rhs, order):
         return
     for j in order:
         check_positive_answer(matrix, rhs, j, fresh_search(matrix, rhs, j))
-        check_positive_answer(matrix, rhs, j, lp_maximize_component(matrix, rhs, j, start=chained))
+        check_positive_answer(matrix, rhs, j, search(matrix, rhs, j, chained))
 
 
 @settings(max_examples=150, deadline=None)
@@ -325,6 +343,30 @@ def test_positive_point_matches_oracle_on_displacement_matrices():
         dec = random_decomposition(rng, max_n=3, max_m=6)
         for i in range(dec.m):
             assert_positive_points_match_oracle(displacement_matrix(dec, i), dec.net_vector(i), range(dec.m))
+
+
+def test_search_result_entry_j_is_positive_exactly_when_x_j_can_be():
+    # the benchmark's tracer (perfbench/tracing._lp_positive) counts a useful
+    # search by reading result[j] > 0: a numerator over a positive det, so
+    # its sign must be the sign of x_j, and None must mean x_j = 0 throughout
+    rng = Random(2026)
+    outcomes = set()
+    for _ in range(30):
+        dec = random_decomposition(rng, max_n=3, max_m=6)
+        for i in range(dec.m):
+            matrix, rhs = displacement_matrix(dec, i), dec.net_vector(i)
+            tableau = lp_feasible(matrix, rhs)
+            if tableau is None:
+                continue
+            for j in range(dec.m):
+                result = lp_maximize_component(matrix, rhs, j, start=tableau)
+                reachable = oracle_positive_component(matrix, rhs, j)
+                assert (result is not None and result[j] > 0) == reachable
+                if result is not None:
+                    assert tableau.det > 0
+                    check_positive_point(matrix, rhs, j, as_vector(result, tableau.det))
+                outcomes.add(reachable)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +411,7 @@ def test_fraction_free_tableau_keeps_one_positive_denominator(monkeypatch):
         tableau = lp_feasible(matrix, rhs)
         check_tableau_invariant(tableau)
         for j in rng.sample(range(cols), cols):
-            found = tableau.positive_point(j)
+            found = positive(tableau, j)
             check_tableau_invariant(tableau)
             if found is not None:
                 check_positive_point(matrix, rhs, j, found)
@@ -413,12 +455,14 @@ def check_cone_point(matrix, rhs):
     if tableau is None:
         return 0, 0
     before = (list(tableau.basis), [list(row) for row in tableau.rows], tableau.det)
-    point = tableau.cone_point()
+    numerators, den = tableau.cone_point()
     assert (tableau.basis, tableau.rows, tableau.det) == before  # no pivot
+    assert den > 0
+    point = as_vector(numerators, den)
     check_feasible_point(matrix, rhs, point)
     predicted, blocked = predicted_cone_support(matrix, rhs, tableau.basis)
     assert set(point.support()) == predicted
-    basic = tableau.solution()
+    basic = basic_point(tableau)
     raised = sum(1 for b in tableau.basis if b < matrix.cols and basic[b] == 0 < point[b])
     return blocked, raised
 
@@ -449,5 +493,7 @@ def test_cone_point_raises_a_degenerate_basic():
     matrix = RationalMatrix.from_rows([[1, 1, 1], [0, 1, -1]])
     rhs = RationalVector.of([2, 0])
     tableau = lp_feasible(matrix, rhs)
-    assert tableau.basis == [0, 1] and tableau.solution() == RationalVector.of([2, 0, 0])
-    assert tableau.cone_point() == RationalVector.of([1, "1/2", "1/2"])
+    assert tableau.basis == [0, 1] and (tableau.solution(), tableau.det) == ((2, 0, 0), 1)
+    # eps = 1/2 = p/q with p = 2, q = 4: numerators over q * det, unreduced
+    assert tableau.cone_point() == ((4, 2, 2), 4)
+    assert as_vector(*tableau.cone_point()) == RationalVector.of([1, "1/2", "1/2"])
